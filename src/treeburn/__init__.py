@@ -30,15 +30,12 @@ from .exact import (  # noqa: F401
     spanning_tree_min,
 )
 from .graphs import (  # noqa: F401
-    Component,
-    Forest,
     Graph,
     Tree,
     as_tree,
     augment_degree2,
     bfs_distances,
     build_graph,
-    component_size_beyond,
     component_vertices_beyond,
     degree2_census,
     gen_cycle,
@@ -51,7 +48,6 @@ from .graphs import (  # noqa: F401
     labeled_trees,
     prufer_decode,
     prufer_encode,
-    split_at_degree2,
 )
 from .construct import (  # noqa: F401
     BoundCertificate,

@@ -85,11 +85,6 @@ def bastide_floor(n: int) -> int:
     return isqrt(4 * n // 3) + 1
 
 
-def bastide_display(n: int) -> str:
-    """The real-valued bound as a human-readable approximation string."""
-    return f"sqrt({4 * n}/3)+1 = {(4 * n / 3) ** 0.5 + 1:.3f}"
-
-
 def bonato_2016_bound(n: int) -> int:
     """2*ceil_sqrt(n) - 1: the original general upper bound."""
     return 2 * ceil_sqrt(n) - 1

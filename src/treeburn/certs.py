@@ -17,7 +17,7 @@ from .construct import BoundCertificate
 from .engine import BurningSequence, validate_sequence
 from .graphs import Tree, as_tree, build_graph, degree2_census
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def document_from_certificate(
@@ -54,8 +54,14 @@ class VerificationFailure(Exception):
 
 def _tree_from_doc(doc: dict) -> Tree:
     tree_obj = doc["tree"]
-    edges = [tuple(e) for e in tree_obj["edges"]]
-    return as_tree(build_graph(int(tree_obj["n"]), edges))
+    n = tree_obj["n"]
+    edges = tree_obj["edges"]
+    # Checked before build_graph, which allocates in proportion to n.
+    if type(n) is not int:
+        raise TypeError(f"tree order {n!r} is not an integer")
+    if len(edges) != n - 1:
+        raise ValueError(f"{len(edges)} edges for {n} vertices")
+    return as_tree(build_graph(n, [tuple(e) for e in edges]))
 
 
 def verify_document(doc: dict) -> dict:

@@ -89,9 +89,12 @@ def format_edge_list(g: Graph) -> str:
 def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read(), name=path)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}")
+    return parse_edge_list(text, name=path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -236,7 +239,7 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(str(exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{args.cert}: {exc}")
     try:
         summary = verify_document(doc)

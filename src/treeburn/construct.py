@@ -94,7 +94,14 @@ class SmoothResult:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A validated burning sequence together with the bound it witnesses."""
+    """A validated burning sequence together with the bound it witnesses.
+
+    trace holds one flat row of scalars per recursion level, outermost
+    first: step ("exact", "pendant" or "smooth"), order, m, target,
+    separator, heavy, length and drop_margin.  construct_general brackets
+    them with an "augment" row (augmented order) and a "project" row
+    (projected length).
+    """
 
     tree: Tree
     n: int
@@ -238,10 +245,18 @@ def lift_sequence(
     return result
 
 
-def _no_deg2_cert(t: Tree, m: int, requested_m: int) -> BoundCertificate:
+def _no_deg2_cert(t: Tree, m: int) -> BoundCertificate:
     n = t.n
     target = ceil_sqrt(n - m)
-    trace: list[dict] = []
+    row = {
+        "step": "exact",
+        "order": n,
+        "m": m,
+        "target": target,
+        "separator": None,
+        "heavy": None,
+        "drop_margin": False,
+    }
 
     if n <= EXACT_FALLBACK_N:
         res = burning_number(t)
@@ -250,10 +265,8 @@ def _no_deg2_cert(t: Tree, m: int, requested_m: int) -> BoundCertificate:
                 f"exact solve gave {res.burning_number} > target {target}"
             )
         labeling = validate_sequence(t, res.witness)
-        trace.append({"step": "exact", "n": n, "length": len(res.witness)})
-        return BoundCertificate(
-            t, n, 0, requested_m, target, res.witness, labeling, tuple(trace)
-        )
+        row["length"] = len(res.witness)
+        return BoundCertificate(t, n, 0, m, target, res.witness, labeling, (row,))
 
     m_eff = m
     if m >= 1 and n == m * (m + 1) + 1:
@@ -262,65 +275,33 @@ def _no_deg2_cert(t: Tree, m: int, requested_m: int) -> BoundCertificate:
         m_eff = 0
         if ceil_sqrt(n) != target:
             raise InternalBoundViolation("margin drop changed the target")
-        trace.append({"step": "drop_margin", "m": m, "target": target})
 
     p = Fraction(4 * target - 3, 2)  # 2*target - 3/2, exact
     sep = find_separator(t, p)
     v = sep.vertex
     heavy = sep.neighbors[-1]
     branch = component_vertices_beyond(t, v, heavy)
-    trace.append(
-        {
-            "step": "separator",
-            "vertex": v,
-            "heavy": heavy,
-            "threshold": str(p),
-            "neighbors": list(sep.neighbors),
-            "sizes": list(sep.sizes),
-            "light_components": [
-                component_vertices_beyond(t, v, x) for x in sep.neighbors[:-1]
-            ],
-        }
-    )
+    row.update(separator=v, heavy=heavy, drop_margin=m_eff != m)
+    child_rows: tuple[dict, ...] = ()
 
     if len(branch) == 1:
+        row["step"] = "pendant"
         drive = [v, heavy]
-        trace.append({"step": "pendant_branch", "sequence": drive})
     else:
+        row["step"] = "smooth"
         branch_tree, branch_map = induced_subtree(t, branch)
         branch_local = {x: i for i, x in enumerate(branch_map)}
         sr = smooth(branch_tree, branch_local[heavy])
-        reduced_n = sr.tree.n
-        if m_eff >= 1 and reduced_n <= m_eff * m_eff:
-            m_child = 0
-        elif m_eff >= 1:
+        if m_eff >= 1 and sr.tree.n > m_eff * m_eff:
             m_child = m_eff - 1
         else:
             m_child = 0
-        trace.append(
-            {
-                "step": "smooth",
-                "vertex": heavy,
-                "removed": sorted(branch_map[x] for x in sr.removed),
-                "path": [branch_map[x] for x in sr.path_order],
-                "branch_map": list(branch_map),
-            }
-        )
         child = construct_no_deg2(sr.tree, m_child)
         if len(child.sequence) > target - 1:
             raise InternalBoundViolation(
                 f"branch sequence length {len(child.sequence)} > {target - 1}"
             )
-        trace.append(
-            {
-                "step": "recurse",
-                "m": m_child,
-                "order": reduced_n,
-                "target": child.target,
-                "length": len(child.sequence),
-                "trace": list(child.trace),
-            }
-        )
+        child_rows = child.trace
         tk, tk_map = induced_subtree(t, branch + [v])
         tk_local = {x: i for i, x in enumerate(tk_map)}
         sr_tk = sr.translate(lambda b: tk_local[branch_map[b]])
@@ -328,14 +309,6 @@ def _no_deg2_cert(t: Tree, m: int, requested_m: int) -> BoundCertificate:
             tk, tk_local[heavy], tk_local[v], sr_tk, child.sequence
         )
         drive = [tk_map[x] for x in lifted.sources]
-        trace.append(
-            {
-                "step": "lift",
-                "leaf": v,
-                "sequence": drive,
-                "subtree_map": list(tk_map),
-            }
-        )
 
     labeling = simulate(t, Schedule(tuple(drive)))
     if labeling.total_rounds > target:
@@ -344,10 +317,8 @@ def _no_deg2_cert(t: Tree, m: int, requested_m: int) -> BoundCertificate:
         )
     seq = canonicalize(t, tuple(drive))
     labeling = validate_sequence(t, seq)
-    trace.append(
-        {"step": "assemble", "schedule": drive, "total_rounds": labeling.total_rounds}
-    )
-    return BoundCertificate(t, n, 0, requested_m, target, seq, labeling, tuple(trace))
+    row["length"] = len(seq)
+    return BoundCertificate(t, n, 0, m, target, seq, labeling, (row, *child_rows))
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
@@ -368,7 +339,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         raise PreconditionViolated(
             f"order {t.n} below m*(m+1)+1 = {m * (m + 1) + 1} for margin {m}"
         )
-    return _no_deg2_cert(t, m, m)
+    return _no_deg2_cert(t, m)
 
 
 def project_to_subtree(
@@ -414,7 +385,7 @@ def construct_general(t: Tree) -> BoundCertificate:
     """
     n = t.n
     n2, _ = degree2_census(t)
-    t1, attach = augment_degree2(t)
+    t1, _ = augment_degree2(t)
     total = n + n2
     m = margin(total)
     if total < m * (m + 1) + 1:
@@ -430,18 +401,8 @@ def construct_general(t: Tree) -> BoundCertificate:
         )
     labeling = validate_sequence(t, seq)
     trace = (
-        {
-            "step": "augment",
-            "added": sorted(attach.items()),
-            "order": t1.n,
-        },
-        {
-            "step": "construct_augmented",
-            "m": m,
-            "target": target,
-            "length": len(inner.sequence),
-            "trace": list(inner.trace),
-        },
+        {"step": "augment", "order": t1.n},
+        *inner.trace,
         {"step": "project", "length": len(seq)},
     )
     return BoundCertificate(t, n, n2, m, target, seq, labeling, trace)

@@ -80,23 +80,24 @@ def _rounds_of(s: ScheduleLike) -> tuple[Optional[int], ...]:
     return Schedule(tuple(s)).rounds
 
 
-def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
-    """Run the burning process for the given schedule on a connected graph.
+def _burn(
+    graph: Graph, rounds: Sequence[Optional[int]], strict: bool
+) -> tuple[list[Optional[int]], RoundLabeling]:
+    """The round loop shared by simulate and greedy_schedule.
 
-    Rounds past the end of the schedule proceed with empty sources until all
-    vertices are burned.  Raises SourceAlreadyBurned if a scheduled source is
-    burned at the start of its round -- including any source scheduled after
-    the process has already terminated.
+    A source burned at the start of its round raises SourceAlreadyBurned
+    when strict, and is demoted to an empty round otherwise.  Returns the
+    per-round sources actually used, up to the round the process ends in.
     """
-    graph = _graph_of(g)
-    rounds = _rounds_of(schedule)
     n = graph.n
     if n == 0 or not graph.is_connected():
         raise NotConnected("burning is defined on connected graphs")
-
+    if not rounds or rounds[0] is None:
+        raise ValueError("round 1 needs a concrete source")
     labels = [0] * n
     frontier: list[int] = []
     burned_count = 0
+    kept: list[Optional[int]] = []
     r = 0
     while burned_count < n:
         r += 1
@@ -109,19 +110,36 @@ def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
         src = rounds[r - 1] if r <= len(rounds) else EMPTY
         if src is not None:
             if not 0 <= src < n:
-                raise ValueError(f"source {src} is not a vertex")
-            if labels[src] != 0 and labels[src] != r:
-                raise SourceAlreadyBurned(r, src)
+                noun = "source" if strict else "proposal"
+                raise ValueError(f"{noun} {src} is not a vertex")
             if labels[src] == 0:
                 labels[src] = r
                 newly.append(src)
+            elif labels[src] != r:
+                if strict:
+                    raise SourceAlreadyBurned(r, src)
+                src = EMPTY
+        kept.append(src)
         burned_count += len(newly)
         frontier = newly
+    return kept, RoundLabeling(tuple(labels), r)
+
+
+def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
+    """Run the burning process for the given schedule on a connected graph.
+
+    Rounds past the end of the schedule proceed with empty sources until all
+    vertices are burned.  Raises SourceAlreadyBurned if a scheduled source is
+    burned at the start of its round -- including any source scheduled after
+    the process has already terminated.
+    """
+    rounds = _rounds_of(schedule)
+    _, labeling = _burn(_graph_of(g), rounds, strict=True)
     # Sources scheduled after termination can never be unburned.
-    for later in range(r, len(rounds)):
+    for later in range(labeling.total_rounds, len(rounds)):
         if rounds[later] is not None:
             raise SourceAlreadyBurned(later + 1, rounds[later])
-    return RoundLabeling(tuple(labels), r)
+    return labeling
 
 
 def validate_sequence(g: GraphLike, seq: BurningSequence) -> RoundLabeling:
@@ -144,38 +162,8 @@ def greedy_schedule(
     transformed tree back to the original: stale sources drop out silently
     instead of invalidating the schedule.
     """
-    graph = _graph_of(g)
-    n = graph.n
-    if n == 0 or not graph.is_connected():
-        raise NotConnected("burning is defined on connected graphs")
-    if not proposals or proposals[0] is None:
-        raise ValueError("round 1 needs a concrete source")
-    labels = [0] * n
-    frontier: list[int] = []
-    burned_count = 0
-    kept: list[Optional[int]] = []
-    r = 0
-    while burned_count < n:
-        r += 1
-        newly = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if labels[w] == 0:
-                    labels[w] = r
-                    newly.append(w)
-        src = proposals[r - 1] if r <= len(proposals) else EMPTY
-        if src is not None and not 0 <= src < n:
-            raise ValueError(f"proposal {src} is not a vertex")
-        if src is not None and (labels[src] == 0 or labels[src] == r):
-            if labels[src] == 0:
-                labels[src] = r
-                newly.append(src)
-            kept.append(src)
-        else:
-            kept.append(EMPTY)
-        burned_count += len(newly)
-        frontier = newly
-    return Schedule(tuple(kept)), RoundLabeling(tuple(labels), r)
+    kept, labeling = _burn(_graph_of(g), proposals, strict=False)
+    return Schedule(tuple(kept)), labeling
 
 
 def canonicalize(g: GraphLike, schedule: ScheduleLike) -> BurningSequence:

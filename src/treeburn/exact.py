@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .engine import BurningSequence, validate_sequence
+from .engine import BurningSequence, _graph_of, validate_sequence
 from .errors import NotConnected, TooLarge
-from .graphs import Graph, Tree, as_tree, bfs_distances, build_graph
+from .graphs import Graph, as_tree, bfs_distances, build_graph
 
 NAIVE_MAX_N = 12
 SPANNING_MAX_N = 8
@@ -26,10 +26,6 @@ class ExactResult:
     burning_number: int
     witness: BurningSequence
     nodes_explored: int
-
-
-def _graph_of(g) -> Graph:
-    return g.graph if isinstance(g, Tree) else g
 
 
 def _require_connected(graph: Graph) -> None:

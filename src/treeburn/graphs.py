@@ -2,8 +2,7 @@
 
 Vertex ids are always dense 0-based integers and adjacency lists are kept
 sorted, so every traversal and tie-break in the package is deterministic.
-Derived structures (forest components, induced subtrees) carry relabeling
-maps back to their source tree.
+Induced subtrees carry a relabeling map back to their source tree.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ class Graph:
     """Simple undirected graph: sorted adjacency tuple per vertex."""
 
     adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.adjacency)
 
     @property
     def n(self) -> int:
@@ -93,19 +88,6 @@ class Tree:
 
     def leaves(self) -> list[int]:
         return [v for v in range(self.n) if self.graph.degree(v) == 1]
-
-
-@dataclass(frozen=True)
-class Component:
-    """One tree of a forest, with its map back to source-tree vertex ids."""
-
-    tree: Tree
-    to_source: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Forest:
-    components: tuple[Component, ...]
 
 
 def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -173,11 +155,6 @@ def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
     return sorted(seen)
 
 
-def component_size_beyond(t: Tree, u: int, v: int) -> int:
-    """Order of the component of t minus edge uv that contains v."""
-    return len(component_vertices_beyond(t, u, v))
-
-
 def degree2_census(t: Tree) -> tuple[int, list[int]]:
     """Count and list (sorted) the degree-2 vertices."""
     vs = [v for v in range(t.n) if t.degree(v) == 2]
@@ -201,62 +178,6 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
         attach[leaf] = w
         edges.append((w, leaf))
     return as_tree(build_graph(n + len(deg2), edges)), attach
-
-
-def split_at_degree2(t: Tree) -> Forest:
-    """Split t at every degree-2 vertex.
-
-    Each degree-2 vertex is replaced by two pendant copies, one per incident
-    edge, disconnecting the tree there.  Yields exactly n2+1 components of
-    total order n+n2, none containing a degree-2 vertex; each component maps
-    its vertices back to source ids (copies map to the split vertex).
-    """
-    n = t.n
-    _, deg2 = degree2_census(t)
-    deg2_set = set(deg2)
-    # Expanded vertex set: originals keep their id; each degree-2 vertex w
-    # contributes copies (one per incident edge) instead of itself.
-    copy_id: dict[tuple[int, int], int] = {}  # (w, neighbor) -> expanded id
-    to_source: list[int] = list(range(n))
-    next_id = n
-    for w in deg2:
-        for nb in t.neighbors(w):
-            copy_id[(w, nb)] = next_id
-            to_source.append(w)
-            next_id += 1
-
-    def endpoint(x: int, other: int) -> int:
-        return copy_id[(x, other)] if x in deg2_set else x
-
-    expanded_edges = [(endpoint(u, v), endpoint(v, u)) for u, v in t.edges()]
-    adj: dict[int, list[int]] = {i: [] for i in range(next_id) if i not in deg2_set}
-    for a, b in expanded_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    components: list[Component] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        local = {x: i for i, x in enumerate(comp)}
-        local_edges = [
-            (local[a], local[b]) for a, b in expanded_edges if a in local and b in local
-        ]
-        tree = as_tree(build_graph(len(comp), local_edges))
-        components.append(Component(tree, tuple(to_source[x] for x in comp)))
-    return Forest(tuple(components))
 
 
 def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, ...]]:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treeburn.bounds import (
-    bastide_display,
     bastide_floor,
     bessy_bound,
     bonato_2016_bound,
@@ -170,7 +169,6 @@ class TestPriorBoundFormulas:
     def test_bastide(self):
         assert bastide_floor(50) == 9
         assert bastide_floor(3) == 3
-        assert "sqrt(200/3)+1" in bastide_display(50)
 
     def test_bonato(self):
         assert bonato_2016_bound(50) == 15

@@ -188,6 +188,32 @@ class TestConstructVerify:
         code, _, err = run(["construct", str(bad), "--cert", str(tmp_path / "x.json")], capsys)
         assert code == 2
 
+    def test_deeply_nested_certificate_is_a_parse_error(self, tmp_path, capsys):
+        cert = tmp_path / "deep.json"
+        cert.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(["verify", str(cert)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}"],
+        ["construct", "{path}", "--cert", "{path}.json"],
+        ["exact", "{path}"],
+        ["simulate", "{path}", "0"],
+    ],
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"3\n0 1\n1 2 # \xe9t\xe9\n")
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
 
 class TestBench:
     def test_small_corpus(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from treeburn import (
     build_graph,
     burning_number,
     ceil_sqrt,
-    component_size_beyond,
+    component_vertices_beyond,
     construct_general,
     construct_no_deg2,
     degree2_census,
@@ -46,11 +46,11 @@ def check_separator_cert(t, cert):
     assert cert.heavy_index == len(cert.neighbors)
     assert set(cert.neighbors) == set(t.neighbors(cert.vertex))
     heavy = cert.neighbors[-1]
-    center_side = t.n - component_size_beyond(t, cert.vertex, heavy)
+    center_side = t.n - len(component_vertices_beyond(t, cert.vertex, heavy))
     assert cert.sizes[-1] == center_side
     assert center_side > cert.threshold
     for nb, size in zip(cert.neighbors[:-1], cert.sizes[:-1]):
-        assert size == component_size_beyond(t, cert.vertex, nb)
+        assert size == len(component_vertices_beyond(t, cert.vertex, nb))
         assert size <= cert.threshold
 
 
@@ -227,18 +227,13 @@ class TestConstructNoDeg2:
             assert validate_sequence(t, cert.sequence) == cert.labeling
 
     def test_recursion_targets_strictly_decrease(self):
-        def recurse_chain(trace):
-            for event in trace:
-                if event["step"] == "recurse":
-                    return [event["target"]] + recurse_chain(event["trace"])
-            return []
-
         deepest = 0
         for i in range(40):
             t = gen_random_no_deg2(40 + (i * 9) % 160, 9600 + i)
             m = margin(t.n)
             cert = construct_no_deg2(t, m)
-            chain = [cert.target] + recurse_chain(cert.trace)
+            chain = [row["target"] for row in cert.trace]
+            assert chain[0] == cert.target
             assert chain == sorted(chain, reverse=True)
             assert len(chain) == len(set(chain))  # strict decrease
             assert len(chain) <= cert.target
@@ -250,11 +245,10 @@ class TestConstructNoDeg2:
             t = gen_random_no_deg2(60 + i * 4, 9900 + i)
             m = margin(t.n)
             cert = construct_no_deg2(t, m)
-            sep_events = [e for e in cert.trace if e["step"] == "separator"]
-            if not sep_events:
-                continue
-            for comp in sep_events[0]["light_components"]:
-                for v in comp:
+            sep = find_separator(t, Fraction(4 * cert.target - 3, 2))
+            assert cert.trace[0]["separator"] == sep.vertex
+            for nb in sep.neighbors[:-1]:
+                for v in component_vertices_beyond(t, sep.vertex, nb):
                     assert cert.labeling.labels[v] <= cert.target
 
 

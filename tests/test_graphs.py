@@ -6,7 +6,7 @@ from treeburn import (
     as_tree,
     augment_degree2,
     build_graph,
-    component_size_beyond,
+    component_vertices_beyond,
     degree2_census,
     gen_cycle,
     gen_double_star,
@@ -18,7 +18,6 @@ from treeburn import (
     labeled_trees,
     prufer_decode,
     prufer_encode,
-    split_at_degree2,
 )
 from treeburn.errors import (
     DuplicateEdge,
@@ -75,29 +74,33 @@ class TestAsTree:
             as_tree(build_graph(4, [(0, 1), (2, 3)]))
 
 
+def size_beyond(t, u, v):
+    return len(component_vertices_beyond(t, u, v))
+
+
 class TestComponentSizeBeyond:
     def test_p5_interior_edge(self):
         t = gen_path(5)
-        assert component_size_beyond(t, 1, 2) == 3
+        assert size_beyond(t, 1, 2) == 3
 
     def test_leaf_component(self):
         t = gen_path(5)
-        assert component_size_beyond(t, 1, 0) == 1
-        assert component_size_beyond(as_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)])), 0, 2) == 1
+        assert size_beyond(t, 1, 0) == 1
+        assert size_beyond(as_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)])), 0, 2) == 1
 
     def test_complement_identity_p5(self):
         t = gen_path(5)
-        assert component_size_beyond(t, 2, 1) + component_size_beyond(t, 1, 2) == 5
-        assert component_size_beyond(t, 2, 1) == 2
+        assert size_beyond(t, 2, 1) + size_beyond(t, 1, 2) == 5
+        assert size_beyond(t, 2, 1) == 2
 
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
-            component_size_beyond(gen_path(5), 0, 2)
+            size_beyond(gen_path(5), 0, 2)
 
     @given(trees(min_n=2))
     def test_complement_identity_everywhere(self, t):
         for u, v in t.edges():
-            assert component_size_beyond(t, u, v) + component_size_beyond(t, v, u) == t.n
+            assert size_beyond(t, u, v) + size_beyond(t, v, u) == t.n
 
 
 class TestDegree2Census:
@@ -140,41 +143,6 @@ class TestAugmentDegree2:
         sub, mapping = induced_subtree(t1, range(t.n))
         assert mapping == tuple(range(t.n))
         assert sub == t
-
-
-class TestSplitAtDegree2:
-    def test_p3_two_edges(self):
-        forest = split_at_degree2(gen_path(3))
-        assert len(forest.components) == 2
-        assert all(c.tree.n == 2 for c in forest.components)
-
-    def test_no_deg2_single_component(self):
-        star = as_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
-        forest = split_at_degree2(star)
-        assert len(forest.components) == 1
-        assert forest.components[0].tree == star
-        assert forest.components[0].to_source == (0, 1, 2, 3)
-
-    def test_p5_four_edges(self):
-        forest = split_at_degree2(gen_path(5))
-        assert len(forest.components) == 4
-        assert [c.tree.n for c in forest.components] == [2, 2, 2, 2]
-
-    @given(trees())
-    def test_counts_and_degree2_freedom(self, t):
-        n2, deg2 = degree2_census(t)
-        forest = split_at_degree2(t)
-        assert len(forest.components) == n2 + 1
-        assert sum(c.tree.n for c in forest.components) == t.n + n2
-        for c in forest.components:
-            assert degree2_census(c.tree)[0] == 0
-            assert len(set(c.to_source)) == c.tree.n  # injective per component
-        # every original vertex appears; split vertices appear exactly twice
-        hits: dict[int, int] = {}
-        for c in forest.components:
-            for src in c.to_source:
-                hits[src] = hits.get(src, 0) + 1
-        assert all(hits[v] == (2 if v in deg2 else 1) for v in range(t.n))
 
 
 class TestGenerators:
