@@ -61,7 +61,11 @@ def _tree_from_doc(doc: dict) -> Tree:
         raise TypeError(f"tree order {n!r} is not an integer")
     if len(edges) != n - 1:
         raise ValueError(f"{len(edges)} edges for {n} vertices")
-    return as_tree(build_graph(n, [tuple(e) for e in edges]))
+    for e in edges:
+        pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+        if not pair:
+            raise TypeError(f"edge {e!r} is not a pair of integers")
+    return as_tree(build_graph(n, edges))
 
 
 def verify_document(doc: dict) -> dict:

@@ -74,6 +74,12 @@ def parse_edge_list(text: str, name: str = "<input>") -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError(f"{name}: empty edge-list file")
+    # Checked before build_graph, which allocates in proportion to n.  A
+    # connected graph has at least n - 1 edges.
+    if n < 0:
+        raise ParseError(f"{name}: vertex count {n} is negative")
+    if n > len(edges) + 1:
+        raise ParseError(f"{name}: {len(edges)} edges cannot connect {n} vertices")
     try:
         return build_graph(n, edges)
     except ValueError as exc:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
 from .engine import (
     BurningSequence,
     RoundLabeling,
-    Schedule,
+    _fill_rounds,
     canonicalize,
     greedy_schedule,
     simulate,
@@ -44,7 +44,6 @@ from .graphs import (
     build_graph,
     component_vertices_beyond,
     degree2_census,
-    induced_subtree,
 )
 
 # Exact solving is instantaneous at this size and covers every order where
@@ -180,6 +179,34 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> SeparatorCert:
         heavy, v = v, step
 
 
+def _smoothed(
+    t: Tree, w: int, vertices: Sequence[int], nbrs: Sequence[int]
+) -> SmoothResult:
+    """Smooth w inside the subtree of t induced by vertices (ascending), in
+    which w's neighbors are nbrs (ascending).  Result ids map straight to
+    t's ids; the other vertices keep their degree from t."""
+    leaf_nbrs = [x for x in nbrs if t.degree(x) == 1]
+    other_nbrs = [x for x in nbrs if t.degree(x) > 1]
+    path = leaf_nbrs[:1] + other_nbrs + leaf_nbrs[1:2]
+    removed = frozenset({w, *leaf_nbrs[2:]})
+    kept = [x for x in vertices if x not in removed]
+    local = {x: i for i, x in enumerate(kept)}
+    edges = [
+        (local[a], local[b])
+        for a in kept
+        for b in t.neighbors(a)
+        if a < b and b in local
+    ]
+    edges += [(local[path[i]], local[path[i + 1]]) for i in range(len(path) - 1)]
+    return SmoothResult(
+        tree=as_tree(build_graph(len(kept), edges)),
+        to_parent=tuple(kept),
+        removed=removed,
+        smoothed=w,
+        path_order=tuple(path),
+    )
+
+
 def smooth(t: Tree, w: int) -> SmoothResult:
     """Delete w (degree q >= 2) and stitch its neighbors into a path.
 
@@ -192,23 +219,27 @@ def smooth(t: Tree, w: int) -> SmoothResult:
     q = t.degree(w)
     if q < 2:
         raise DegreeTooSmall(f"vertex {w} has degree {q}")
-    leaf_nbrs = [x for x in t.neighbors(w) if t.degree(x) == 1]
-    other_nbrs = [x for x in t.neighbors(w) if t.degree(x) > 1]
-    kept_leaves = leaf_nbrs[:2]
-    deleted = leaf_nbrs[2:]
-    path = kept_leaves[:1] + other_nbrs + kept_leaves[1:2]
-    removed = frozenset({w, *deleted})
-    kept = [x for x in range(t.n) if x not in removed]
-    local = {x: i for i, x in enumerate(kept)}
-    edges = [(local[a], local[b]) for a, b in t.edges() if a in local and b in local]
-    edges += [(local[path[i]], local[path[i + 1]]) for i in range(len(path) - 1)]
-    return SmoothResult(
-        tree=as_tree(build_graph(len(kept), edges)),
-        to_parent=tuple(kept),
-        removed=removed,
-        smoothed=w,
-        path_order=tuple(path),
-    )
+    return _smoothed(t, w, range(t.n), t.neighbors(w))
+
+
+def _lift(
+    t: Tree, v: int, to_parent: Sequence[int], seq: BurningSequence, part: Sequence[int]
+) -> tuple[list[int], RoundLabeling]:
+    """Lift seq onto t: v ignites in round 1, each source (mapped through
+    to_parent) follows one round late and is dropped if the fire beat it.
+
+    part is the smoothed subtree plus v.  It meets the rest of t only at v,
+    so its labels are those of the lift run on part alone.  Returns the
+    lifted sequence up to the last round that burns part, each dropped round
+    filled from part, and the labeling of the run on t.
+    """
+    schedule, labeling = greedy_schedule(t, [v] + [to_parent[s] for s in seq.sources])
+    lift_rounds = max(labeling.labels[x] for x in part)
+    if lift_rounds > len(seq) + 1:
+        raise InternalBoundViolation(
+            f"lift took {lift_rounds} rounds, bound {len(seq) + 1}"
+        )
+    return _fill_rounds(schedule.rounds, labeling.labels, lift_rounds, part), labeling
 
 
 def lift_sequence(
@@ -234,13 +265,8 @@ def lift_sequence(
     if mapped | set(sr.removed) != set(range(t.n)) - {v}:
         raise StructureMismatch("smoothing result does not partition t minus the leaf")
 
-    proposals = [v] + [sr.to_parent[s] for s in seq_prime.sources]
-    schedule, labeling = greedy_schedule(t, proposals)
-    if labeling.total_rounds > len(seq_prime) + 1:
-        raise InternalBoundViolation(
-            f"lift took {labeling.total_rounds} rounds, bound {len(seq_prime) + 1}"
-        )
-    result = canonicalize(t, schedule)
+    lifted, _ = _lift(t, v, sr.to_parent, seq_prime, range(t.n))
+    result = BurningSequence(tuple(lifted))
     validate_sequence(t, result)
     return result
 
@@ -287,11 +313,10 @@ def _no_deg2_cert(t: Tree, m: int) -> BoundCertificate:
     if len(branch) == 1:
         row["step"] = "pendant"
         drive = [v, heavy]
+        labeling = simulate(t, drive)
     else:
         row["step"] = "smooth"
-        branch_tree, branch_map = induced_subtree(t, branch)
-        branch_local = {x: i for i, x in enumerate(branch_map)}
-        sr = smooth(branch_tree, branch_local[heavy])
+        sr = _smoothed(t, heavy, branch, [x for x in t.neighbors(heavy) if x != v])
         if m_eff >= 1 and sr.tree.n > m_eff * m_eff:
             m_child = m_eff - 1
         else:
@@ -302,20 +327,13 @@ def _no_deg2_cert(t: Tree, m: int) -> BoundCertificate:
                 f"branch sequence length {len(child.sequence)} > {target - 1}"
             )
         child_rows = child.trace
-        tk, tk_map = induced_subtree(t, branch + [v])
-        tk_local = {x: i for i, x in enumerate(tk_map)}
-        sr_tk = sr.translate(lambda b: tk_local[branch_map[b]])
-        lifted = lift_sequence(
-            tk, tk_local[heavy], tk_local[v], sr_tk, child.sequence
-        )
-        drive = [tk_map[x] for x in lifted.sources]
+        drive, labeling = _lift(t, v, sr.to_parent, child.sequence, branch + [v])
 
-    labeling = simulate(t, Schedule(tuple(drive)))
     if labeling.total_rounds > target:
         raise InternalBoundViolation(
             f"assembled process took {labeling.total_rounds} rounds, target {target}"
         )
-    seq = canonicalize(t, tuple(drive))
+    seq = canonicalize(t, drive, labeling)
     labeling = validate_sequence(t, seq)
     row["length"] = len(seq)
     return BoundCertificate(t, n, 0, m, target, seq, labeling, (row, *child_rows))
@@ -372,7 +390,7 @@ def project_to_subtree(
         raise InternalBoundViolation(
             f"projection took {labeling.total_rounds} rounds, bound {len(seq)}"
         )
-    result = canonicalize(t_sub, schedule)
+    result = canonicalize(t_sub, schedule, labeling)
     validate_sequence(t_sub, result)
     return result
 

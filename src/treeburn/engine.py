@@ -11,7 +11,7 @@ lifting and projection compose exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned
 from .graphs import Graph, Tree
@@ -81,16 +81,22 @@ def _rounds_of(s: ScheduleLike) -> tuple[Optional[int], ...]:
 
 
 def _burn(
-    graph: Graph, rounds: Sequence[Optional[int]], strict: bool
+    g: GraphLike, rounds: Sequence[Optional[int]], strict: bool
 ) -> tuple[list[Optional[int]], RoundLabeling]:
     """The round loop shared by simulate and greedy_schedule.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise.  Returns the
     per-round sources actually used, up to the round the process ends in.
+
+    Only a bare Graph gets a connectivity pass: as_tree has checked every
+    Tree.  On a connected graph every round burns some vertex until the
+    last, so a round that burns none raises NotConnected; a Tree built
+    around a disconnected graph therefore cannot loop forever.
     """
+    graph = _graph_of(g)
     n = graph.n
-    if n == 0 or not graph.is_connected():
+    if n == 0 or not (isinstance(g, Tree) or graph.is_connected()):
         raise NotConnected("burning is defined on connected graphs")
     if not rounds or rounds[0] is None:
         raise ValueError("round 1 needs a concrete source")
@@ -119,6 +125,8 @@ def _burn(
                 if strict:
                     raise SourceAlreadyBurned(r, src)
                 src = EMPTY
+        if not newly:
+            raise NotConnected(f"round {r} burns nothing: the graph is not connected")
         kept.append(src)
         burned_count += len(newly)
         frontier = newly
@@ -134,7 +142,7 @@ def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
     the process has already terminated.
     """
     rounds = _rounds_of(schedule)
-    _, labeling = _burn(_graph_of(g), rounds, strict=True)
+    _, labeling = _burn(g, rounds, strict=True)
     # Sources scheduled after termination can never be unburned.
     for later in range(labeling.total_rounds, len(rounds)):
         if rounds[later] is not None:
@@ -162,21 +170,47 @@ def greedy_schedule(
     transformed tree back to the original: stale sources drop out silently
     instead of invalidating the schedule.
     """
-    kept, labeling = _burn(_graph_of(g), proposals, strict=False)
+    kept, labeling = _burn(g, proposals, strict=False)
     return Schedule(tuple(kept)), labeling
 
 
-def canonicalize(g: GraphLike, schedule: ScheduleLike) -> BurningSequence:
+def _fill_rounds(
+    rounds: Sequence[Optional[int]],
+    labels: Sequence[int],
+    upto: int,
+    vertices: Iterable[int],
+) -> list[int]:
+    """Rounds 1..upto of rounds, each empty one (or one past the end) filled
+    with the lowest-id vertex among `vertices` whose label is that round."""
+    lowest: dict[int, int] = {}
+    for v in vertices:
+        r = labels[v]
+        if r <= upto and (r not in lowest or v < lowest[r]):
+            lowest[r] = v
+    sources = []
+    for r in range(1, upto + 1):
+        given = rounds[r - 1] if r <= len(rounds) else EMPTY
+        sources.append(given if given is not None else lowest[r])
+    return sources
+
+
+def canonicalize(
+    g: GraphLike, schedule: ScheduleLike, labeling: Optional[RoundLabeling] = None
+) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
-    producing a burning sequence that induces the identical process."""
+    producing a burning sequence that induces the identical process.
+
+    labeling, when given, is that of the run that produced the schedule (as
+    returned by greedy_schedule or simulate); otherwise the schedule is
+    simulated here.
+    """
     graph = _graph_of(g)
     rounds = _rounds_of(schedule)
-    labeling = simulate(graph, rounds)
-    by_round: dict[int, int] = {}
-    for v in range(graph.n - 1, -1, -1):
-        by_round[labeling.labels[v]] = v
-    sources = []
-    for r in range(1, labeling.total_rounds + 1):
-        given = rounds[r - 1] if r <= len(rounds) else EMPTY
-        sources.append(given if given is not None else by_round[r])
-    return BurningSequence(tuple(sources))
+    if labeling is None:
+        labeling = simulate(g, rounds)
+    elif len(labeling.labels) != graph.n or len(rounds) > labeling.total_rounds:
+        raise ValueError("labeling does not belong to this graph and schedule")
+    filled = _fill_rounds(
+        rounds, labeling.labels, labeling.total_rounds, range(graph.n)
+    )
+    return BurningSequence(tuple(filled))

@@ -126,7 +126,7 @@ def burnable_within(g, k: int) -> Optional[BurningSequence]:
     if found is None:
         return None
     seq = BurningSequence(found)
-    validate_sequence(graph, seq)  # the search result is never trusted blindly
+    validate_sequence(g, seq)  # the search result is never trusted blindly
     return seq
 
 
@@ -140,7 +140,7 @@ def burning_number(g) -> ExactResult:
         found = search.find(k)
         if found is not None:
             seq = BurningSequence(found)
-            validate_sequence(graph, seq)
+            validate_sequence(g, seq)
             return ExactResult(k, seq, search.nodes)
         k += 1
 

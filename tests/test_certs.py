@@ -1,15 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeburn import construct_general, gen_random_tree
+from treeburn import construct_general, gen_path, gen_random_no_deg2, gen_random_tree
 from treeburn.certs import (
     VerificationFailure,
     document_from_certificate,
     dump_document,
     verify_document,
 )
+from treeburn.cli import main
 
 
 def json_depth(value) -> int:
@@ -25,8 +31,8 @@ def json_depth(value) -> int:
     return depth
 
 
-def certificate(n: int, seed: int) -> dict:
-    doc = document_from_certificate(construct_general(gen_random_tree(n, seed)))
+def certificate(n: int, seed: int, generator=gen_random_tree) -> dict:
+    doc = document_from_certificate(construct_general(generator(n, seed)))
     return json.loads(dump_document(doc))
 
 
@@ -67,3 +73,108 @@ class TestUntrustedTree:
         doc = {"tree": {"n": n, "edges": [[0, 1], [1, 2]]}}
         with pytest.raises(VerificationFailure, match="^malformed tree: "):
             verify_document(doc)
+
+    @pytest.mark.parametrize(
+        "edge", [[False, True], [0], [0, 1, 2], (0, 1), "01", [0.0, 1], None]
+    )
+    def test_edges_must_be_integer_pairs(self, edge):
+        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        assert doc["tree"]["edges"][0] == [0, 1]  # [False, True] would equal it
+        doc["tree"]["edges"][0] = edge
+        with pytest.raises(VerificationFailure, match="^malformed tree: "):
+            verify_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: mutated certificates fail with VerificationFailure, never another
+# exception, and `treeburn verify` exits 1 on them.
+# ---------------------------------------------------------------------------
+
+BASES = (
+    certificate(12, 4),
+    certificate(9, 0, lambda n, seed: gen_path(n)),
+    certificate(8, 5, gen_random_no_deg2),
+)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def locations(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(locations(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else doc
+        op = draw(st.sampled_from(["replace", "delete", "nudge", "append"]))
+        if op == "nudge" and type(target) is int:
+            nudged = [target - 1, target + 1, bool(target), float(target)]
+            new = draw(st.sampled_from(nudged))
+        elif op == "append" and isinstance(target, list):
+            extra = draw(st.sampled_from(target) if target else JSON_VALUES)
+            new = target + [copy.deepcopy(extra)]
+        elif op == "delete" and path:
+            del parent[path[-1]]
+            continue
+        else:
+            new = draw(JSON_VALUES)
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+def verdict(doc) -> bool:
+    try:
+        return verify_document(doc)["ok"]
+    except VerificationFailure:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_fail_only_with_verification_failure(doc):
+    verdict(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_documents())
+def test_cli_verify_exits_1_on_mutated_documents(fuzz_dir, doc):
+    accepted = verdict(doc)
+    path = fuzz_dir / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(path)])
+    assert code == (0 if accepted else 1)
+    assert json.loads(out.getvalue())["ok"] is accepted

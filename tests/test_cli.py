@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,24 @@ class TestEdgeListFormat:
     def test_bad_edge_reported(self):
         with pytest.raises(ParseError):
             parse_edge_list("2\n0 5\n")
+
+    @pytest.mark.parametrize("text", ["2000000\n", "2000000\n0 1\n", "-1\n"])
+    def test_implausible_order_rejected_before_allocating(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_implausible_order_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("2000000\n")
+        code, out, err = run(["simulate", str(path), "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestGen:

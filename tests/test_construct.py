@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treeburn import (
     BurningSequence,
+    Graph,
     as_tree,
     build_graph,
     burning_number,
@@ -26,6 +27,7 @@ from treeburn import (
     smooth,
     validate_sequence,
 )
+from treeburn import engine
 from treeburn.bounds import margin
 from treeburn.errors import (
     DegreeTooSmall,
@@ -250,6 +252,41 @@ class TestConstructNoDeg2:
             for nb in sep.neighbors[:-1]:
                 for v in component_vertices_beyond(t, sep.vertex, nb):
                     assert cert.labeling.labels[v] <= cert.target
+
+
+class TestWorkPerLevel:
+    def test_two_burns_per_level_and_no_connectivity_pass_in_the_round_loop(
+        self, monkeypatch
+    ):
+        counts = {"burn": 0, "connected": 0, "connected_in_burn": 0}
+        inside = []
+        burn, is_connected = engine._burn, Graph.is_connected
+
+        def counting_burn(*args, **kwargs):
+            counts["burn"] += 1
+            inside.append(1)
+            try:
+                return burn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting_is_connected(graph):
+            counts["connected_in_burn" if inside else "connected"] += 1
+            return is_connected(graph)
+
+        t = gen_random_tree(1600, 0)
+        monkeypatch.setattr(engine, "_burn", counting_burn)
+        monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
+        cert = construct_general(t)
+        levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
+        exact_rows = [row for row in cert.trace if row["step"] == "exact"]
+        assert len(levels) >= 20 and len(exact_rows) == 1
+        # the exact level checks its witness and its row; the projection
+        # burns twice; construct_general checks the final sequence once
+        assert counts["burn"] <= 2 * len(levels) + 5
+        assert counts["connected_in_burn"] == 0
+        # one as_tree per smoothed level, plus augment and the exact solve
+        assert counts["connected"] <= len(levels) + 2
 
 
 class TestProjectToSubtree:

@@ -6,6 +6,7 @@ from treeburn import (
     EMPTY,
     BurningSequence,
     Schedule,
+    Tree,
     build_graph,
     canonicalize,
     gen_path,
@@ -67,6 +68,21 @@ class TestSimulate:
         with pytest.raises(NotConnected):
             simulate(build_graph(4, [(0, 1), (2, 3)]), Schedule((0,)))
 
+    def test_disconnected_graph_rejected_with_a_source_per_component(self):
+        # no round stalls here, so only the upfront pass can catch it
+        with pytest.raises(NotConnected):
+            simulate(build_graph(4, [(0, 1), (2, 3)]), Schedule((0, 2)))
+
+    def test_disconnected_tree_stops_instead_of_hanging(self):
+        # Tree() bypasses as_tree's connectivity check
+        t = Tree(build_graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(NotConnected):
+            simulate(t, Schedule((0,)))
+        with pytest.raises(NotConnected):
+            greedy_schedule(t, [0, 0])
+        with pytest.raises(NotConnected):
+            canonicalize(t, (0,))
+
 
 class TestValidateSequence:
     def test_two_source_pair(self):
@@ -111,6 +127,13 @@ class TestCanonicalize:
         assert len(seq) == 5
         assert seq.sources[0] == 4
 
+    def test_labeling_that_does_not_fit_is_rejected(self):
+        lab = simulate(gen_path(3), (1,))
+        with pytest.raises(ValueError):
+            canonicalize(gen_path(4), (1,), lab)
+        with pytest.raises(ValueError):
+            canonicalize(gen_path(3), (1, EMPTY, 0), lab)
+
 
 class TestGreedySchedule:
     def test_keeps_live_proposals(self):
@@ -131,6 +154,7 @@ def test_canonicalize_reproduces_process(t, seed):
     schedule = random_valid_schedule(t, seed)
     lab = simulate(t, schedule)
     seq = canonicalize(t, schedule)
+    assert canonicalize(t, schedule, lab) == seq
     lab2 = validate_sequence(t, seq)
     assert lab2 == lab
     for r, src in enumerate(schedule.rounds, start=1):
