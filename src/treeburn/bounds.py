@@ -107,19 +107,7 @@ class BoundTable:
     conjecture_guaranteed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n2": self.n2,
-            "m": self.m,
-            "conjecture": self.conjecture,
-            "refined": self.refined,
-            "murakami": self.murakami,
-            "bessy": self.bessy,
-            "land_lu": self.land_lu,
-            "bastide_floor": self.bastide_floor,
-            "bonato_2016": self.bonato_2016,
-            "conjecture_guaranteed": self.conjecture_guaranteed,
-        }
+        return dict(vars(self))
 
 
 def bound_table(n: int, n2: int) -> BoundTable:

@@ -68,12 +68,19 @@ def _tree_from_doc(doc: dict) -> Tree:
     return as_tree(build_graph(n, edges))
 
 
+def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
+    claimed = doc.get(key)
+    if type(claimed) is not int or claimed != value:
+        raise VerificationFailure(f"{what} mismatch")
+
+
 def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence.
 
     Returns a summary dict on success; raises VerificationFailure with a
     machine-readable reason otherwise.  Stored labels and bound values are
-    treated as claims to check, never as inputs.
+    treated as claims to check, never as inputs, and a bool never passes
+    for an integer claim.
     """
     try:
         tree = _tree_from_doc(doc)
@@ -81,16 +88,11 @@ def verify_document(doc: dict) -> dict:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
     n = tree.n
     n2, _ = degree2_census(tree)
-    if doc.get("n") != n:
-        raise VerificationFailure("order mismatch")
-    if doc.get("n2") != n2:
-        raise VerificationFailure("degree-2 count mismatch")
-    total = n + n2
-    if doc.get("m") != margin(total):
-        raise VerificationFailure("margin mismatch")
+    _check_claim(doc, "n", n, "order")
+    _check_claim(doc, "n2", n2, "degree-2 count")
+    _check_claim(doc, "m", margin(n + n2), "margin")
     target = refined_bound(n, n2)
-    if doc.get("target") != target:
-        raise VerificationFailure("target mismatch")
+    _check_claim(doc, "target", target, "target")
     try:
         entries = tuple(doc["sequence"])
         if not all(type(x) is int for x in entries):
@@ -106,12 +108,16 @@ def verify_document(doc: dict) -> dict:
         raise VerificationFailure(f"invalid sequence: {exc}") from exc
     stored = doc.get("labels")
     recomputed = {str(v): r for v, r in enumerate(labeling.labels)}
-    if stored != recomputed:
+    # Only the first source burns in round 1, so once the dicts are equal a
+    # bool (True == 1) can sit nowhere else.
+    if stored != recomputed or type(stored[str(seq.sources[0])]) is not int:
         raise VerificationFailure("labels mismatch")
-    if doc.get("total_rounds") != labeling.total_rounds:
-        raise VerificationFailure("round count mismatch")
-    expected_table = bound_table(n, n2).as_dict()
-    if doc.get("bound_table") != expected_table:
+    _check_claim(doc, "total_rounds", labeling.total_rounds, "round count")
+    expected = bound_table(n, n2).as_dict()
+    table = doc.get("bound_table")
+    if table != expected or any(
+        type(table[k]) is not type(v) for k, v in expected.items()
+    ):
         raise VerificationFailure("bound table mismatch")
     return {
         "ok": True,

@@ -104,11 +104,14 @@ def _load_graph(path: str) -> Graph:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +130,17 @@ def cmd_gen(args) -> int:
 
     try:
         if kind == "path":
-            g = gen_path(*need(1)).graph
+            g = gen_path(*need(1))
         elif kind == "cycle":
             g = gen_cycle(*need(1))
         elif kind == "full-binary":
-            g = gen_full_binary(*need(1)).graph
+            g = gen_full_binary(*need(1))
         elif kind == "double-star":
-            g = gen_double_star(*need(2)).graph
+            g = gen_double_star(*need(2))
         elif kind == "random-tree":
-            g = gen_random_tree(need(1)[0], seed).graph
+            g = gen_random_tree(need(1)[0], seed)
         elif kind == "random-no-deg2":
-            g = gen_random_no_deg2(need(1)[0], seed).graph
+            g = gen_random_no_deg2(need(1)[0], seed)
         else:
             raise ParseError(f"unknown kind {kind!r}")
     except ValueError as exc:
@@ -212,9 +215,7 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         raise ParseError(f"{args.tree}: {exc}")
     cert = construct_general(tree)
-    doc = document_from_certificate(cert, seed=args.seed)
-    with open(args.cert, "w", encoding="utf-8") as fh:
-        fh.write(dump_document(doc))
+    _emit(dump_document(document_from_certificate(cert, seed=args.seed)), args.cert)
     print(
         f"n {cert.n}  n2 {cert.n2}  m {cert.m}  target {cert.target}  "
         f"length {len(cert.sequence)}  -> {args.cert}"
@@ -223,8 +224,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    table = bound_table(args.n, args.n2)
-    d = table.as_dict()
+    try:
+        d = bound_table(args.n, args.n2).as_dict()
+    except ValueError as exc:
+        raise ParseError(str(exc))
     if args.format == "json":
         _emit(json.dumps(d, indent=2, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
@@ -330,32 +333,17 @@ def _bench_instance(task: tuple[str, str, int, int, int]) -> dict:
     cert = construct_general(tree)
     us_construct = int((time.perf_counter() - t0) * 1e6)
 
-    table = bound_table(cert.n, cert.n2).as_dict()
-    row = {
-        "instance": instance,
-        "kind": kind,
-        "n": cert.n,
-        "n2": cert.n2,
-        "seed": seed,
-        "exact": exact_val,
-        "constructed": len(cert.sequence),
-        "us_gen": us_gen,
-        "us_exact": us_exact,
-        "us_construct": us_construct,
-    }
-    for key in (
-        "conjecture",
-        "refined",
-        "murakami",
-        "bessy",
-        "land_lu",
-        "bastide_floor",
-        "bonato_2016",
-        "m",
-        "conjecture_guaranteed",
-    ):
-        row[key] = table[key]
-    return row
+    return dict(
+        bound_table(cert.n, cert.n2).as_dict(),
+        instance=instance,
+        kind=kind,
+        seed=seed,
+        exact=exact_val,
+        constructed=len(cert.sequence),
+        us_gen=us_gen,
+        us_exact=us_exact,
+        us_construct=us_construct,
+    )
 
 
 def cmd_bench(args) -> int:

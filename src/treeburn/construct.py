@@ -14,9 +14,9 @@ violated length bound raises InternalBoundViolation, never a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
 from .engine import (
@@ -79,16 +79,6 @@ class SmoothResult:
     removed: frozenset[int]
     smoothed: int
     path_order: tuple[int, ...]
-
-    def translate(self, f: Callable[[int], int]) -> "SmoothResult":
-        """Re-express all parent-space ids through f (result ids unchanged)."""
-        return replace(
-            self,
-            to_parent=tuple(f(x) for x in self.to_parent),
-            removed=frozenset(f(x) for x in self.removed),
-            smoothed=f(self.smoothed),
-            path_order=tuple(f(x) for x in self.path_order),
-        )
 
 
 @dataclass(frozen=True)
@@ -383,7 +373,7 @@ def project_to_subtree(
         if y < k:
             proposals.append(y)
         else:
-            dist = bfs_distances(t_sup.graph, y)
+            dist = bfs_distances(t_sup, y)
             proposals.append(min(range(k), key=lambda x: (dist[x], x)))
     schedule, labeling = greedy_schedule(t_sub, proposals)
     if labeling.total_rounds > len(seq):

@@ -64,12 +64,7 @@ class RoundLabeling:
         return dict(enumerate(self.labels))
 
 
-GraphLike = Union[Graph, Tree]
 ScheduleLike = Union[Schedule, BurningSequence, Sequence[Optional[int]]]
-
-
-def _graph_of(g: GraphLike) -> Graph:
-    return g.graph if isinstance(g, Tree) else g
 
 
 def _rounds_of(s: ScheduleLike) -> tuple[Optional[int], ...]:
@@ -81,7 +76,7 @@ def _rounds_of(s: ScheduleLike) -> tuple[Optional[int], ...]:
 
 
 def _burn(
-    g: GraphLike, rounds: Sequence[Optional[int]], strict: bool
+    g: Graph, rounds: Sequence[Optional[int]], strict: bool
 ) -> tuple[list[Optional[int]], RoundLabeling]:
     """The round loop shared by simulate and greedy_schedule.
 
@@ -92,11 +87,10 @@ def _burn(
     Only a bare Graph gets a connectivity pass: as_tree has checked every
     Tree.  On a connected graph every round burns some vertex until the
     last, so a round that burns none raises NotConnected; a Tree built
-    around a disconnected graph therefore cannot loop forever.
+    around a disconnected adjacency therefore cannot loop forever.
     """
-    graph = _graph_of(g)
-    n = graph.n
-    if n == 0 or not (isinstance(g, Tree) or graph.is_connected()):
+    n = g.n
+    if n == 0 or not (isinstance(g, Tree) or g.is_connected()):
         raise NotConnected("burning is defined on connected graphs")
     if not rounds or rounds[0] is None:
         raise ValueError("round 1 needs a concrete source")
@@ -109,7 +103,7 @@ def _burn(
         r += 1
         newly = []
         for u in frontier:
-            for w in graph.adjacency[u]:
+            for w in g.adjacency[u]:
                 if labels[w] == 0:
                     labels[w] = r
                     newly.append(w)
@@ -133,7 +127,7 @@ def _burn(
     return kept, RoundLabeling(tuple(labels), r)
 
 
-def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
+def simulate(g: Graph, schedule: ScheduleLike) -> RoundLabeling:
     """Run the burning process for the given schedule on a connected graph.
 
     Rounds past the end of the schedule proceed with empty sources until all
@@ -150,7 +144,7 @@ def simulate(g: GraphLike, schedule: ScheduleLike) -> RoundLabeling:
     return labeling
 
 
-def validate_sequence(g: GraphLike, seq: BurningSequence) -> RoundLabeling:
+def validate_sequence(g: Graph, seq: BurningSequence) -> RoundLabeling:
     """Check that seq is a burning sequence: the process it drives must
     terminate in exactly len(seq) rounds.  Returns the labeling."""
     labeling = simulate(g, Schedule(tuple(seq.sources)))
@@ -160,7 +154,7 @@ def validate_sequence(g: GraphLike, seq: BurningSequence) -> RoundLabeling:
 
 
 def greedy_schedule(
-    g: GraphLike, proposals: Sequence[Optional[int]]
+    g: Graph, proposals: Sequence[Optional[int]]
 ) -> tuple[Schedule, RoundLabeling]:
     """Run the process keeping each round's proposed source iff it is still
     unburned at the start of its round, demoting it to an empty round
@@ -195,7 +189,7 @@ def _fill_rounds(
 
 
 def canonicalize(
-    g: GraphLike, schedule: ScheduleLike, labeling: Optional[RoundLabeling] = None
+    g: Graph, schedule: ScheduleLike, labeling: Optional[RoundLabeling] = None
 ) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process.
@@ -204,13 +198,12 @@ def canonicalize(
     returned by greedy_schedule or simulate); otherwise the schedule is
     simulated here.
     """
-    graph = _graph_of(g)
     rounds = _rounds_of(schedule)
     if labeling is None:
         labeling = simulate(g, rounds)
-    elif len(labeling.labels) != graph.n or len(rounds) > labeling.total_rounds:
+    elif len(labeling.labels) != g.n or len(rounds) > labeling.total_rounds:
         raise ValueError("labeling does not belong to this graph and schedule")
     filled = _fill_rounds(
-        rounds, labeling.labels, labeling.total_rounds, range(graph.n)
+        rounds, labeling.labels, labeling.total_rounds, range(g.n)
     )
     return BurningSequence(tuple(filled))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .engine import BurningSequence, _graph_of, validate_sequence
+from .engine import BurningSequence, validate_sequence
 from .errors import NotConnected, TooLarge
 from .graphs import Graph, as_tree, bfs_distances, build_graph
 
@@ -37,7 +37,6 @@ class _Search:
     """Shared per-solve state: distance matrix, candidate order, ball masks."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.n = graph.n
         self.dist = [bfs_distances(graph, v) for v in range(graph.n)]
         ecc = [max(row) for row in self.dist]
@@ -116,13 +115,12 @@ class _Search:
         return extend(0, 0)
 
 
-def burnable_within(g, k: int) -> Optional[BurningSequence]:
+def burnable_within(g: Graph, k: int) -> Optional[BurningSequence]:
     """A valid burning sequence of length exactly k, or None if none exists."""
-    graph = _graph_of(g)
-    _require_connected(graph)
+    _require_connected(g)
     if k < 1:
         raise ValueError("k must be positive")
-    found = _Search(graph).find(k)
+    found = _Search(g).find(k)
     if found is None:
         return None
     seq = BurningSequence(found)
@@ -130,11 +128,10 @@ def burnable_within(g, k: int) -> Optional[BurningSequence]:
     return seq
 
 
-def burning_number(g) -> ExactResult:
+def burning_number(g: Graph) -> ExactResult:
     """Exact burning number with a validated witness sequence."""
-    graph = _graph_of(g)
-    _require_connected(graph)
-    search = _Search(graph)  # distances and ball masks shared across all k
+    _require_connected(g)
+    search = _Search(g)  # distances and ball masks shared across all k
     k = 1
     while True:
         found = search.find(k)
@@ -145,23 +142,22 @@ def burning_number(g) -> ExactResult:
         k += 1
 
 
-def burning_number_naive(g) -> ExactResult:
+def burning_number_naive(g: Graph) -> ExactResult:
     """Burning number by enumerating every source sequence and simulating.
 
     No pruning beyond the definition itself; this is the independent oracle
     the clever search is compared against.  Guarded to n <= 12.
     """
-    graph = _graph_of(g)
-    _require_connected(graph)
-    if graph.n > NAIVE_MAX_N:
+    _require_connected(g)
+    if g.n > NAIVE_MAX_N:
         raise TooLarge(f"naive enumeration guarded to n <= {NAIVE_MAX_N}")
     tried = 0
-    for k in range(1, graph.n + 1):
-        for sources in permutations(range(graph.n), k):
+    for k in range(1, g.n + 1):
+        for sources in permutations(range(g.n), k):
             tried += 1
             seq = BurningSequence(sources)
             try:
-                validate_sequence(graph, seq)
+                validate_sequence(g, seq)
             except ValueError:
                 continue
             return ExactResult(k, seq, tried)
@@ -190,12 +186,11 @@ def _spanning_trees(graph: Graph):
             yield as_tree(build_graph(n, subset))
 
 
-def spanning_tree_min(g) -> int:
+def spanning_tree_min(g: Graph) -> int:
     """Minimum burning number over all spanning trees.  Guarded to n <= 8."""
-    graph = _graph_of(g)
-    _require_connected(graph)
-    if graph.n > SPANNING_MAX_N:
+    _require_connected(g)
+    if g.n > SPANNING_MAX_N:
         raise TooLarge(f"spanning-tree enumeration guarded to n <= {SPANNING_MAX_N}")
-    if graph.n == 1:
+    if g.n == 1:
         return 1
-    return min(burning_number(t).burning_number for t in _spanning_trees(graph))
+    return min(burning_number(t).burning_number for t in _spanning_trees(g))

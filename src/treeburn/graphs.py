@@ -68,26 +68,17 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """Connected acyclic graph; construct via as_tree()."""
-
-    graph: Graph
+class Tree(Graph):
+    """Connected acyclic graph.  as_tree() is the only constructor that
+    checks this; the burning loop trusts the type and skips its own pass."""
 
     @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def degree(self, v: int) -> int:
-        return self.graph.degree(v)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.graph.adjacency[v]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return self.graph.edges()
+    def graph(self) -> Graph:
+        """The same adjacency as a plain Graph, without the tree guarantee."""
+        return Graph(self.adjacency)
 
     def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.graph.degree(v) == 1]
+        return [v for v in range(self.n) if self.degree(v) == 1]
 
 
 def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -115,12 +106,12 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def as_tree(g: Graph) -> Tree:
-    """Check connectivity and edge count; wrap as a Tree."""
+    """Check connectivity and edge count; return g's adjacency as a Tree."""
     if not g.is_connected():
         raise NotConnected(f"graph with {g.n} vertices is not connected")
     if g.edge_count() != g.n - 1:
         raise NotAcyclic(f"{g.edge_count()} edges on {g.n} vertices")
-    return Tree(g)
+    return Tree(g.adjacency)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -140,7 +131,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
     """Vertices of the component of t minus edge uv that contains v, sorted."""
-    if not t.graph.has_edge(u, v):
+    if not t.has_edge(u, v):
         raise NotAnEdge(f"({u}, {v}) is not an edge")
     # in a tree, u is reachable from v only through the edge uv itself, so
     # refusing to visit u explores exactly v's side of the cut

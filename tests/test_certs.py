@@ -178,3 +178,55 @@ def test_cli_verify_exits_1_on_mutated_documents(fuzz_dir, doc):
         code = main(["verify", str(path)])
     assert code == (0 if accepted else 1)
     assert json.loads(out.getvalue())["ok"] is accepted
+
+
+# ---------------------------------------------------------------------------
+# Booleans are not integers: True == 1 and False == 0 under ==, so every
+# integer claim is checked for its type as well.
+# ---------------------------------------------------------------------------
+
+CHECKED_KEYS = {
+    "tree", "n", "n2", "m", "target", "sequence", "labels", "total_rounds",
+    "bound_table",
+}
+BOOL_BASES = BASES + (
+    certificate(30, 1, gen_random_no_deg2),
+    certificate(1, 0, lambda n, seed: gen_path(n)),
+)
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def type_swaps():
+    """(base, path, value equal to but not of the type of the stored one)."""
+    for i, base in enumerate(BOOL_BASES):
+        for path in locations(base):
+            value = value_at(base, path)
+            checked = path and path[0] in CHECKED_KEYS
+            if checked and type(value) is int and value in (0, 1):
+                yield i, path, bool(value)
+        flag = ("bound_table", "conjecture_guaranteed")
+        yield i, flag, int(value_at(base, flag))
+
+
+@pytest.mark.parametrize(
+    "base, path, new",
+    list(type_swaps()),
+    ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else repr(x),
+)
+def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
+    doc = copy.deepcopy(BOOL_BASES[base])
+    value_at(doc, path[:-1])[path[-1]] = new
+    assert doc == BOOL_BASES[base]  # == cannot tell them apart
+    with pytest.raises(VerificationFailure):
+        verify_document(doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(cert)]) == 1
+    assert json.loads(out.getvalue())["ok"] is False

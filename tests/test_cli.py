@@ -234,6 +234,35 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n, n2", [("0", "0"), ("5", "9"), ("-3", "0")])
+def test_bounds_outside_their_domain_are_a_usage_error(capsys, n, n2):
+    code, out, err = run(["bounds", n, n2], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "path", "4", "--out", "{out}"],
+        ["exact", "{tree}", "--out", "{out}"],
+        ["bounds", "9", "7", "--out", "{out}"],
+        ["construct", "{tree}", "--cert", "{out}"],
+        ["simulate", "{tree}", "1", "3", "--out", "{out}"],
+        ["verify", "{cert}", "--out", "{out}"],
+        ["bench", "path:2:4", "--out", "{out}"],
+    ],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    tree, cert = tmp_path / "p4.txt", tmp_path / "cert.json"
+    tree.write_text("4\n0 1\n1 2\n2 3\n")
+    assert run(["construct", str(tree), "--cert", str(cert)], capsys)[0] == 0
+    paths = {"tree": tree, "cert": cert, "out": tmp_path / "missing" / "out.txt"}
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 class TestBench:
     def test_small_corpus(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

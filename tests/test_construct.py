@@ -29,6 +29,7 @@ from treeburn import (
 )
 from treeburn import engine
 from treeburn.bounds import margin
+from treeburn.construct import _smoothed
 from treeburn.errors import (
     DegreeTooSmall,
     NotInducedSubtree,
@@ -139,12 +140,18 @@ class TestSmooth:
             assert degree2_census(sr.tree)[0] == 0
 
 
+def smoothed_without_leaf(t, u, v):
+    """The smoothing of u in t - v, with ids mapped straight to t's, built
+    by the helper construct itself runs."""
+    rest = [x for x in range(t.n) if x != v]
+    return _smoothed(t, u, rest, [x for x in t.neighbors(u) if x != v])
+
+
 class TestLiftSequence:
     def test_star_with_removed_leaf(self):
         # t = star on 4 vertices: center 0, leaves 1 (the ignition leaf), 2, 3
         t = as_tree(build_graph(4, STAR4))
-        tmv, tmv_map = induced_subtree(t, [0, 2, 3])
-        sr = smooth(tmv, 0).translate(lambda b: tmv_map[b])
+        sr = smoothed_without_leaf(t, 0, 1)
         local = {orig: i for i, orig in enumerate(sr.to_parent)}
         seq_prime = BurningSequence((local[2], local[3]))
         lifted = lift_sequence(t, 0, 1, sr, seq_prime)
@@ -154,8 +161,7 @@ class TestLiftSequence:
     def test_double_star(self):
         # centers 0 and 1; smoothing 0 in t - leaf2 leaves a star around 1
         t = gen_double_star(2, 2)
-        tmv, tmv_map = induced_subtree(t, [0, 1, 3, 4, 5])
-        sr = smooth(tmv, 0).translate(lambda b: tmv_map[b])
+        sr = smoothed_without_leaf(t, 0, 2)
         local = {orig: i for i, orig in enumerate(sr.to_parent)}
         seq_prime = BurningSequence((local[1], local[3]))
         validate_sequence(sr.tree, seq_prime)
@@ -170,8 +176,7 @@ class TestLiftSequence:
         t = as_tree(
             build_graph(8, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)])
         )
-        tmv, tmv_map = induced_subtree(t, [0, 2, 3, 4, 5, 6, 7])
-        sr = smooth(tmv, 0).translate(lambda b: tmv_map[b])
+        sr = smoothed_without_leaf(t, 0, 1)
         local = {orig: i for i, orig in enumerate(sr.to_parent)}
         seq_prime = BurningSequence((local[3], local[7], local[5]))
         validate_sequence(sr.tree, seq_prime)
@@ -181,15 +186,14 @@ class TestLiftSequence:
 
     def test_structure_mismatch(self):
         t = as_tree(build_graph(4, STAR4))
-        tmv, tmv_map = induced_subtree(t, [0, 2, 3])
+        tmv, _ = induced_subtree(t, [0, 2, 3])
         sr = smooth(tmv, 0)  # not translated into t's id space
         with pytest.raises(StructureMismatch):
             lift_sequence(t, 0, 1, sr, BurningSequence((0, 1)))
 
     def test_preconditions(self):
         t = gen_path(4)
-        tmv, tmv_map = induced_subtree(t, [0, 1, 2])
-        sr = smooth(tmv, 1).translate(lambda b: tmv_map[b])
+        sr = smoothed_without_leaf(t, 1, 3)
         with pytest.raises(PreconditionViolated):
             lift_sequence(t, 2, 3, sr, BurningSequence((0, 1)))  # degree(2) == 2
 

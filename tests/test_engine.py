@@ -75,7 +75,7 @@ class TestSimulate:
 
     def test_disconnected_tree_stops_instead_of_hanging(self):
         # Tree() bypasses as_tree's connectivity check
-        t = Tree(build_graph(4, [(0, 1), (2, 3)]))
+        t = Tree(build_graph(4, [(0, 1), (2, 3)]).adjacency)
         with pytest.raises(NotConnected):
             simulate(t, Schedule((0,)))
         with pytest.raises(NotConnected):
@@ -190,7 +190,7 @@ def test_labels_match_closed_form_over_distances(t, seed):
     lab = simulate(t, schedule)
     placed = [(r, v) for r, v in enumerate(schedule.rounds, start=1) if v is not None]
     for w in range(t.n):
-        expected = min(r + bfs_distances(t.graph, v)[w] for r, v in placed)
+        expected = min(r + bfs_distances(t, v)[w] for r, v in placed)
         assert lab.labels[w] == expected
 
 

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeburn import (
+    Graph,
+    Tree,
     as_tree,
     augment_degree2,
     build_graph,
@@ -72,6 +74,25 @@ class TestAsTree:
     def test_disjoint_edges_not_connected(self):
         with pytest.raises(NotConnected):
             as_tree(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_tree_is_a_graph(self):
+        g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+        t = as_tree(g)
+        assert isinstance(t, Graph) and type(t) is Tree
+        assert t.adjacency == g.adjacency
+        assert (t.n, t.degree(1), t.neighbors(1), t.edges()) == (
+            4, 3, (0, 2, 3), [(0, 1), (1, 2), (1, 3)]
+        )
+
+    def test_graph_property_drops_the_tree_type(self):
+        t = gen_random_tree(30, 2)
+        assert type(t.graph) is Graph
+        assert t.graph == Graph(t.adjacency)
+
+    def test_tree_and_graph_over_one_adjacency_differ(self):
+        t = gen_path(5)
+        assert t != t.graph
+        assert t == Tree(t.adjacency)
 
 
 def size_beyond(t, u, v):
