@@ -1,20 +1,26 @@
-"""construct_general's burning sequences on a fixed seeded corpus, compared
-entry for entry with tests/golden_sequences.json.
+"""construct_general's burning sequences and traces on a fixed seeded corpus,
+compared entry for entry with tests/golden_sequences.json and
+tests/golden_traces.json.
 
-A refactor of construct must leave every sequence unchanged.  The golden
-file holds the sequences of the construct that stored the nested vertex-list
-trace; rewrite it only for a tie-break change that is documented in
-CHANGES.md:
+A refactor of construct must leave every sequence and every trace row
+unchanged.  The sequence file holds the sequences of the construct that
+stored the nested vertex-list trace; the trace file holds the sha256 of
+json.dumps(trace, sort_keys=True) from the recursive construct that ran one
+burn per level.  Rewrite them only for a tie-break or trace change that is
+documented in CHANGES.md:
 
     PYTHONPATH=src python -m tests.test_golden
 """
 
+import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from treeburn import construct_general, gen_path, gen_random_no_deg2, gen_random_tree
 
 GOLDEN = Path(__file__).with_name("golden_sequences.json")
+GOLDEN_TRACES = Path(__file__).with_name("golden_traces.json")
 
 GENERATORS = {
     "random-tree": gen_random_tree,
@@ -33,15 +39,31 @@ def corpus() -> list[tuple[str, int, int]]:
     return items
 
 
+@lru_cache(maxsize=None)
+def certificates() -> tuple:
+    return tuple(
+        construct_general(GENERATORS[kind](n, seed)) for kind, n, seed in corpus()
+    )
+
+
 def sequences() -> list[dict]:
+    return [
+        {"kind": kind, "n": n, "seed": seed, "sequence": list(cert.sequence.sources)}
+        for (kind, n, seed), cert in zip(corpus(), certificates())
+    ]
+
+
+def traces() -> list[dict]:
     return [
         {
             "kind": kind,
             "n": n,
             "seed": seed,
-            "sequence": list(construct_general(GENERATORS[kind](n, seed)).sequence.sources),
+            "trace_sha256": hashlib.sha256(
+                json.dumps(cert.trace, sort_keys=True).encode()
+            ).hexdigest(),
         }
-        for kind, n, seed in corpus()
+        for (kind, n, seed), cert in zip(corpus(), certificates())
     ]
 
 
@@ -50,6 +72,17 @@ def test_sequences_match_golden_file():
     assert sequences() == golden
 
 
+def test_traces_match_golden_file():
+    golden = json.loads(GOLDEN_TRACES.read_text(encoding="utf-8"))
+    assert traces() == golden
+
+
+def test_corpus_covers_pendant_levels():
+    steps = [row["step"] for cert in certificates() for row in cert.trace]
+    assert steps.count("pendant") >= 10
+
+
 if __name__ == "__main__":
-    rows = ",\n".join(json.dumps(row) for row in sequences())
-    GOLDEN.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    for path, records in ((GOLDEN, sequences()), (GOLDEN_TRACES, traces())):
+        rows = ",\n".join(json.dumps(row) for row in records)
+        path.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
