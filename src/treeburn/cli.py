@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -347,6 +348,8 @@ def _bench_instance(task: tuple[str, str, int, int, int]) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = []
     ordinal = 0
     for spec in args.spec:
@@ -357,8 +360,10 @@ def cmd_bench(args) -> int:
             tasks.append((instance, kind, n, derive_seed(args.seed, ordinal), args.cap))
             ordinal += 1
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts every worker up front, so never more than can run.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_instance, tasks))
     else:
         rows = [_bench_instance(t) for t in tasks]

@@ -3,13 +3,13 @@
 The pipeline: a tree with no degree-2 vertices is burned by picking a
 separator vertex v whose branches are all small except the one across a
 designated heavy edge, burning the small branches by plain propagation from
-v, and recursing into the one remaining branch after smoothing its root
+v, and descending into the one remaining branch after smoothing its root
 away.  Arbitrary trees are first made degree-2-free by grafting a leaf onto
 every degree-2 vertex, and the sequence found on the grafted tree is
 projected back.
 
-Every certificate is validated by simulation before it is returned; a
-violated length bound raises InternalBoundViolation, never a wrong answer.
+Every certificate is validated by simulation, once, before it is returned;
+a violated length bound raises InternalBoundViolation, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .engine import (
     _fill_rounds,
     canonicalize,
     greedy_schedule,
-    simulate,
     validate_sequence,
 )
 from .errors import (
@@ -85,11 +84,10 @@ class SmoothResult:
 class BoundCertificate:
     """A validated burning sequence together with the bound it witnesses.
 
-    trace holds one flat row of scalars per recursion level, outermost
-    first: step ("exact", "pendant" or "smooth"), order, m, target,
-    separator, heavy, length and drop_margin.  construct_general brackets
-    them with an "augment" row (augmented order) and a "project" row
-    (projected length).
+    trace holds one flat row of scalars per level, outermost first: step
+    ("exact", "pendant" or "smooth"), order, m, target, separator, heavy,
+    length and drop_margin.  construct_general brackets them with an
+    "augment" row (augmented order) and a "project" row (projected length).
     """
 
     tree: Tree
@@ -256,87 +254,19 @@ def lift_sequence(
         raise StructureMismatch("smoothing result does not partition t minus the leaf")
 
     lifted, _ = _lift(t, v, sr.to_parent, seq_prime, range(t.n))
-    result = BurningSequence(tuple(lifted))
-    validate_sequence(t, result)
-    return result
-
-
-def _no_deg2_cert(t: Tree, m: int) -> BoundCertificate:
-    n = t.n
-    target = ceil_sqrt(n - m)
-    row = {
-        "step": "exact",
-        "order": n,
-        "m": m,
-        "target": target,
-        "separator": None,
-        "heavy": None,
-        "drop_margin": False,
-    }
-
-    if n <= EXACT_FALLBACK_N:
-        res = burning_number(t)
-        if res.burning_number > target:
-            raise InternalBoundViolation(
-                f"exact solve gave {res.burning_number} > target {target}"
-            )
-        labeling = validate_sequence(t, res.witness)
-        row["length"] = len(res.witness)
-        return BoundCertificate(t, n, 0, m, target, res.witness, labeling, (row,))
-
-    m_eff = m
-    if m >= 1 and n == m * (m + 1) + 1:
-        # ceil_sqrt(n) equals the target at this exact order, so the margin
-        # can be dropped and the separator round run margin-free.
-        m_eff = 0
-        if ceil_sqrt(n) != target:
-            raise InternalBoundViolation("margin drop changed the target")
-
-    p = Fraction(4 * target - 3, 2)  # 2*target - 3/2, exact
-    sep = find_separator(t, p)
-    v = sep.vertex
-    heavy = sep.neighbors[-1]
-    branch = component_vertices_beyond(t, v, heavy)
-    row.update(separator=v, heavy=heavy, drop_margin=m_eff != m)
-    child_rows: tuple[dict, ...] = ()
-
-    if len(branch) == 1:
-        row["step"] = "pendant"
-        drive = [v, heavy]
-        labeling = simulate(t, drive)
-    else:
-        row["step"] = "smooth"
-        sr = _smoothed(t, heavy, branch, [x for x in t.neighbors(heavy) if x != v])
-        if m_eff >= 1 and sr.tree.n > m_eff * m_eff:
-            m_child = m_eff - 1
-        else:
-            m_child = 0
-        child = construct_no_deg2(sr.tree, m_child)
-        if len(child.sequence) > target - 1:
-            raise InternalBoundViolation(
-                f"branch sequence length {len(child.sequence)} > {target - 1}"
-            )
-        child_rows = child.trace
-        drive, labeling = _lift(t, v, sr.to_parent, child.sequence, branch + [v])
-
-    if labeling.total_rounds > target:
-        raise InternalBoundViolation(
-            f"assembled process took {labeling.total_rounds} rounds, target {target}"
-        )
-    seq = canonicalize(t, drive, labeling)
-    labeling = validate_sequence(t, seq)
-    row["length"] = len(seq)
-    return BoundCertificate(t, n, 0, m, target, seq, labeling, (row, *child_rows))
+    return BurningSequence(tuple(lifted))
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
     """Burning sequence of length <= ceil_sqrt(n - m) for a tree without
     degree-2 vertices of order n >= m*(m+1)+1.
 
-    Recursive: small trees are solved exactly; otherwise a separator confines
-    the work to one branch, whose root is smoothed away before recursing with
-    a reduced margin, and the branch sequence is lifted and replayed on the
-    whole tree while the light branches burn by propagation.
+    One loop over levels: small trees are solved exactly; otherwise a
+    separator confines the work to its heavy branch, whose root is smoothed
+    away before descending into it with a reduced margin (a one-leaf branch
+    is burned by (0,)).  The innermost sequence is then lifted back up level
+    by level while the light branches burn by propagation.  Preconditions and
+    the final sequence are checked once, on t; levels check only lengths.
     """
     count2, listing = degree2_census(t)
     if count2:
@@ -347,7 +277,72 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         raise PreconditionViolated(
             f"order {t.n} below m*(m+1)+1 = {m * (m + 1) + 1} for margin {m}"
         )
-    return _no_deg2_cert(t, m)
+
+    rows: list[dict] = []
+    frames = []  # (level tree, v, to_parent, branch + [v], row), outermost first
+    level, level_m = t, m
+    while True:
+        n = level.n
+        target = ceil_sqrt(n - level_m)
+        row = {
+            "step": "exact",
+            "order": n,
+            "m": level_m,
+            "target": target,
+            "separator": None,
+            "heavy": None,
+            "drop_margin": False,
+        }
+        rows.append(row)
+        if n <= EXACT_FALLBACK_N:
+            seq = burning_number(level).witness  # validated by the search
+            if len(seq) > target:
+                raise InternalBoundViolation(
+                    f"exact solve gave {len(seq)} > target {target}"
+                )
+            row["length"] = len(seq)
+            break
+
+        m_eff = level_m
+        if level_m >= 1 and n == level_m * (level_m + 1) + 1:
+            # ceil_sqrt(n) equals the target at this exact order, so the
+            # margin can be dropped and the separator round run margin-free.
+            m_eff = 0
+            if ceil_sqrt(n) != target:
+                raise InternalBoundViolation("margin drop changed the target")
+        sep = find_separator(level, Fraction(4 * target - 3, 2))  # 2*target - 3/2
+        v = sep.vertex
+        heavy = sep.neighbors[-1]
+        branch = component_vertices_beyond(level, v, heavy)
+        row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
+        if len(branch) == 1:
+            row["step"] = "pendant"
+            frames.append((level, v, branch, branch + [v], row))
+            seq = BurningSequence((0,))
+            break
+        row["step"] = "smooth"
+        nbrs = [x for x in level.neighbors(heavy) if x != v]
+        sr = _smoothed(level, heavy, branch, nbrs)
+        frames.append((level, v, sr.to_parent, branch + [v], row))
+        level = sr.tree
+        level_m = m_eff - 1 if m_eff >= 1 and level.n > m_eff * m_eff else 0
+
+    for level, v, to_parent, part, row in reversed(frames):
+        target = row["target"]
+        if len(seq) > target - 1:
+            raise InternalBoundViolation(
+                f"branch sequence length {len(seq)} > {target - 1}"
+            )
+        drive, labeling = _lift(level, v, to_parent, seq, part)
+        if labeling.total_rounds > target:
+            raise InternalBoundViolation(
+                f"assembled process took {labeling.total_rounds} rounds, target {target}"
+            )
+        seq = canonicalize(level, drive, labeling)
+        row["length"] = len(seq)
+
+    labeling = validate_sequence(t, seq)
+    return BoundCertificate(t, t.n, 0, m, rows[0]["target"], seq, labeling, tuple(rows))
 
 
 def project_to_subtree(
@@ -358,7 +353,9 @@ def project_to_subtree(
     t_sub's vertices must be ids 0..t_sub.n-1 of t_sup and induce exactly
     t_sub.  Each source maps to itself if inside the subtree, else to its
     nearest subtree vertex (graph distance in t_sup, ties by lowest id);
-    sources the fire beat are dropped.  The result is never longer than seq.
+    sources the fire beat are dropped.  The result is never longer than seq;
+    it is the canonical form of the greedy run, so it needs no replay here
+    (construct_general validates its final sequence).
     """
     k = t_sub.n
     if k > t_sup.n:
@@ -380,9 +377,7 @@ def project_to_subtree(
         raise InternalBoundViolation(
             f"projection took {labeling.total_rounds} rounds, bound {len(seq)}"
         )
-    result = canonicalize(t_sub, schedule, labeling)
-    validate_sequence(t_sub, result)
-    return result
+    return canonicalize(t_sub, schedule, labeling)
 
 
 def construct_general(t: Tree) -> BoundCertificate:
@@ -394,10 +389,7 @@ def construct_general(t: Tree) -> BoundCertificate:
     n = t.n
     n2, _ = degree2_census(t)
     t1, _ = augment_degree2(t)
-    total = n + n2
-    m = margin(total)
-    if total < m * (m + 1) + 1:
-        raise InternalBoundViolation("margin exceeded its defining inequality")
+    m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     target = refined_bound(n, n2)
     inner = construct_no_deg2(t1, m)
     if inner.target != target:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from treeburn import cli
 from treeburn.cli import main, parse_edge_list, format_edge_list, ParseError
 from treeburn import build_graph
 
@@ -319,6 +320,47 @@ class TestBench:
             return rows
 
         assert strip_timing(serial.read_text()) == strip_timing(parallel.read_text())
+
+    @pytest.mark.parametrize(
+        "spec, jobs, cpus, expected",
+        [
+            ("path:5:4", "100000", 3, [3]),
+            ("path:2:4", "100000", 8, [2]),
+            ("path:5:4", "4", None, []),
+        ],
+    )
+    def test_jobs_capped_by_tasks_and_cpus(
+        self, monkeypatch, tmp_path, capsys, spec, jobs, cpus, expected
+    ):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "bench.csv"
+        code, _, err = run(["bench", spec, "--jobs", jobs, "--out", str(out)], capsys)
+        assert code == 0, err
+        assert started == expected
+        assert len(out.read_text().splitlines()) == 1 + int(spec.split(":")[1])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, monkeypatch, capsys, jobs):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        code, out, err = run(["bench", "path:1:4", "--jobs", jobs], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_bad_spec(self, capsys):
         code, _, err = run(["bench", "nonsense"], capsys)

@@ -1,7 +1,9 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeburn import (
@@ -10,6 +12,7 @@ from treeburn import (
     as_tree,
     build_graph,
     burning_number,
+    canonicalize,
     ceil_sqrt,
     component_vertices_beyond,
     construct_general,
@@ -38,7 +41,7 @@ from treeburn.errors import (
 )
 from treeburn.rng import SplitMix64
 
-from .strategies import trees
+from .strategies import random_valid_schedule, trees
 
 STAR4 = [(0, 1), (0, 2), (0, 3)]
 
@@ -184,6 +187,17 @@ class TestLiftSequence:
         assert lifted.sources == (1, 3, 7, 6)
         assert len(lifted) <= len(seq_prime) + 1
 
+    @given(trees(min_n=4, max_n=20), st.integers(0, 2**32))
+    def test_lift_is_a_burning_sequence_at_most_one_round_longer(self, t, seed):
+        pairs = [(u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3]
+        assume(pairs)
+        u, v = pairs[seed % len(pairs)]
+        sr = smoothed_without_leaf(t, u, v)
+        seq = canonicalize(sr.tree, random_valid_schedule(sr.tree, seed))
+        lifted = lift_sequence(t, u, v, sr, seq)
+        assert lifted.sources[0] == v
+        assert validate_sequence(t, lifted).total_rounds == len(lifted) <= len(seq) + 1
+
     def test_structure_mismatch(self):
         t = as_tree(build_graph(4, STAR4))
         tmv, _ = induced_subtree(t, [0, 2, 3])
@@ -262,15 +276,16 @@ class TestWorkPerLevel:
     def test_two_burns_per_level_and_no_connectivity_pass_in_the_round_loop(
         self, monkeypatch
     ):
-        counts = {"burn": 0, "connected": 0, "connected_in_burn": 0}
+        counts = {"burn": 0, "strict": 0, "connected": 0, "connected_in_burn": 0}
         inside = []
         burn, is_connected = engine._burn, Graph.is_connected
 
-        def counting_burn(*args, **kwargs):
+        def counting_burn(g, rounds, strict):
             counts["burn"] += 1
+            counts["strict"] += strict
             inside.append(1)
             try:
-                return burn(*args, **kwargs)
+                return burn(g, rounds, strict)
             finally:
                 inside.pop()
 
@@ -285,9 +300,11 @@ class TestWorkPerLevel:
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
         assert len(levels) >= 20 and len(exact_rows) == 1
-        # the exact level checks its witness and its row; the projection
-        # burns twice; construct_general checks the final sequence once
-        assert counts["burn"] <= 2 * len(levels) + 5
+        # one lift per level and one projection; the strict burns are the
+        # exact search's witness check and the final validations of
+        # construct_no_deg2 and construct_general, whatever the level count
+        assert counts["burn"] <= len(levels) + 5
+        assert counts["strict"] <= 4
         assert counts["connected_in_burn"] == 0
         # one as_tree per smoothed level, plus augment and the exact solve
         assert counts["connected"] <= len(levels) + 2
@@ -372,6 +389,21 @@ class TestConstructGeneral:
         a = construct_general(t)
         b = construct_general(t)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_random_tree(3200, 1), lambda: gen_path(3200)],
+        ids=["random-tree", "path"],
+    )
+    def test_depth_does_not_grow_with_levels(self, make):
+        t = make()
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            cert = construct_general(t)
+        finally:
+            sys.setrecursionlimit(old)
+        assert len(cert.sequence) <= cert.target
 
     def test_seeded_sandwich(self):
         for i in range(40):
