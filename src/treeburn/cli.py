@@ -249,7 +249,9 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(str(exc))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, non-UTF-8 bytes and integer
+        # literals past Python's digit limit
         raise ParseError(f"{args.cert}: {exc}")
     try:
         summary = verify_document(doc)

@@ -37,10 +37,8 @@ from .errors import (
 from .exact import burning_number
 from .graphs import (
     Tree,
-    as_tree,
     augment_degree2,
     bfs_distances,
-    build_graph,
     component_vertices_beyond,
     degree2_census,
 )
@@ -65,19 +63,6 @@ class SeparatorCert:
     heavy_index: int  # 1-based position of the heavy neighbor (== k)
     threshold: Fraction
     sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SmoothResult:
-    """Outcome of smoothing a vertex away: the new tree, the id map back to
-    the tree that was smoothed, the removed vertices (the smoothed vertex
-    plus any surplus leaves), and the path the remaining neighbors form."""
-
-    tree: Tree
-    to_parent: tuple[int, ...]
-    removed: frozenset[int]
-    smoothed: int
-    path_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -169,40 +154,40 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> SeparatorCert:
 
 def _smoothed(
     t: Tree, w: int, vertices: Sequence[int], nbrs: Sequence[int]
-) -> SmoothResult:
+) -> tuple[Tree, list[int]]:
     """Smooth w inside the subtree of t induced by vertices (ascending), in
-    which w's neighbors are nbrs (ascending).  Result ids map straight to
-    t's ids; the other vertices keep their degree from t."""
+    which w's neighbors are nbrs (ascending).  Returns the smoothed tree and
+    its map to t's ids; the other vertices keep their degree from t.
+
+    Smoothing keeps a tree a tree, so the result is built straight from t's
+    adjacency: the relabeling is monotone, which keeps every filtered
+    neighbor list sorted, and only the stitched path's ends need a re-sort.
+    """
     leaf_nbrs = [x for x in nbrs if t.degree(x) == 1]
     other_nbrs = [x for x in nbrs if t.degree(x) > 1]
     path = leaf_nbrs[:1] + other_nbrs + leaf_nbrs[1:2]
-    removed = frozenset({w, *leaf_nbrs[2:]})
+    removed = {w, *leaf_nbrs[2:]}
     kept = [x for x in vertices if x not in removed]
     local = {x: i for i, x in enumerate(kept)}
-    edges = [
-        (local[a], local[b])
-        for a in kept
-        for b in t.neighbors(a)
-        if a < b and b in local
-    ]
-    edges += [(local[path[i]], local[path[i + 1]]) for i in range(len(path) - 1)]
-    return SmoothResult(
-        tree=as_tree(build_graph(len(kept), edges)),
-        to_parent=tuple(kept),
-        removed=removed,
-        smoothed=w,
-        path_order=tuple(path),
-    )
+    adj = [[local[b] for b in t.neighbors(a) if b in local] for a in kept]
+    for a, b in zip(path, path[1:]):
+        adj[local[a]].append(local[b])
+        adj[local[b]].append(local[a])
+    for x in path:
+        adj[local[x]].sort()
+    return Tree(tuple(map(tuple, adj))), kept
 
 
-def smooth(t: Tree, w: int) -> SmoothResult:
+def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     """Delete w (degree q >= 2) and stitch its neighbors into a path.
 
     With p leaf-neighbors: the two lowest-id leaf-neighbors become the path
     endpoints (as many of them as exist when p < 2), the non-leaf neighbors
     fill the path in ascending id order, and any further leaf-neighbors are
     deleted outright.  The result has n - 1 - max(0, p - 2) vertices and is
-    free of degree-2 vertices whenever w was the only one in t.
+    free of degree-2 vertices whenever w was the only one in t.  Returns the
+    smoothed tree and its map to t's ids (ascending); the removed vertices
+    are the ones the map misses.
     """
     q = t.degree(w)
     if q < 2:
@@ -231,13 +216,15 @@ def _lift(
 
 
 def lift_sequence(
-    t: Tree, u: int, v: int, sr: SmoothResult, seq_prime: BurningSequence
+    t: Tree, u: int, v: int, to_parent: Sequence[int], seq_prime: BurningSequence
 ) -> BurningSequence:
     """Turn a sequence for the tree obtained by smoothing u in t - v into a
     sequence for t that starts at the leaf v and is at most one round longer.
 
-    The leaf ignites in round 1; each original source follows one round
-    late, dropped (round left empty) if the fire reached it first.
+    to_parent maps the smoothed tree's ids to t's; u, v and the surplus
+    leaves are the vertices it misses.  The leaf ignites in round 1; each
+    original source follows one round late, dropped (round left empty) if
+    the fire reached it first.
     """
     if not (0 <= v < t.n and 0 <= u < t.n):
         raise StructureMismatch("u and v must be vertices of t")
@@ -245,15 +232,11 @@ def lift_sequence(
         raise PreconditionViolated(f"{v} must be a leaf of t adjacent to {u}")
     if t.degree(u) < 3:
         raise PreconditionViolated(f"degree of {u} must be at least 3")
-    if sr.smoothed != u:
-        raise StructureMismatch("smoothing result is not for the designated vertex")
-    mapped = set(sr.to_parent)
-    if v in mapped or v in sr.removed:
-        raise StructureMismatch("the removed leaf reappears in the smoothing result")
-    if mapped | set(sr.removed) != set(range(t.n)) - {v}:
-        raise StructureMismatch("smoothing result does not partition t minus the leaf")
+    mapped = set(to_parent)
+    if u in mapped or v in mapped or not mapped <= set(range(t.n)):
+        raise StructureMismatch("to_parent must map into t minus u and v")
 
-    lifted, _ = _lift(t, v, sr.to_parent, seq_prime, range(t.n))
+    lifted, _ = _lift(t, v, to_parent, seq_prime, range(t.n))
     return BurningSequence(tuple(lifted))
 
 
@@ -322,9 +305,9 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
             break
         row["step"] = "smooth"
         nbrs = [x for x in level.neighbors(heavy) if x != v]
-        sr = _smoothed(level, heavy, branch, nbrs)
-        frames.append((level, v, sr.to_parent, branch + [v], row))
-        level = sr.tree
+        smoothed, to_parent = _smoothed(level, heavy, branch, nbrs)
+        frames.append((level, v, to_parent, branch + [v], row))
+        level = smoothed
         level_m = m_eff - 1 if m_eff >= 1 and level.n > m_eff * m_eff else 0
 
     for level, v, to_parent, part, row in reversed(frames):
@@ -387,8 +370,8 @@ def construct_general(t: Tree) -> BoundCertificate:
     with the largest admissible margin, and projects the sequence back.
     """
     n = t.n
-    n2, _ = degree2_census(t)
     t1, _ = augment_degree2(t)
+    n2 = t1.n - n  # one leaf grafted per degree-2 vertex
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     target = refined_bound(n, n2)
     inner = construct_no_deg2(t1, m)

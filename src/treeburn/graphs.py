@@ -69,8 +69,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree(Graph):
-    """Connected acyclic graph.  as_tree() is the only constructor that
-    checks this; the burning loop trusts the type and skips its own pass."""
+    """Connected acyclic graph.  A Tree is made by as_tree(), which checks
+    this, or derived from a Tree by grafting leaves (augment_degree2) or by
+    smoothing a vertex (construct.smooth), both of which keep it a tree.
+    The burning loop trusts the type and skips its own pass."""
 
     @property
     def graph(self) -> Graph:
@@ -158,17 +160,19 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     New leaves get ids n, n+1, ... in ascending order of their attachment
     vertex; the returned map sends each new leaf to its attachment.  The
     result has no degree-2 vertices and contains t as the induced subtree
-    on the original ids.
+    on the original ids.  Grafting keeps a tree a tree, and each new id
+    exceeds every old one, so appending it keeps the adjacency sorted.
     """
     n = t.n
-    _, deg2 = degree2_census(t)
-    edges = t.edges()
+    adj = list(t.adjacency)
     attach: dict[int, int] = {}
-    for i, w in enumerate(deg2):
-        leaf = n + i
-        attach[leaf] = w
-        edges.append((w, leaf))
-    return as_tree(build_graph(n + len(deg2), edges)), attach
+    for w, nbrs in enumerate(t.adjacency):
+        if len(nbrs) == 2:
+            leaf = n + len(attach)
+            attach[leaf] = w
+            adj[w] = nbrs + (leaf,)
+            adj.append((w,))
+    return Tree(tuple(adj)), attach
 
 
 def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, ...]]:

@@ -216,6 +216,14 @@ class TestConstructVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_oversized_integer_certificate_is_a_parse_error(self, tmp_path, capsys):
+        cert = tmp_path / "huge.json"
+        cert.write_text('{"tree": ' + "9" * 5000 + "}")
+        code, out, err = run(["verify", str(cert)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "argv",

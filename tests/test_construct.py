@@ -10,6 +10,7 @@ from treeburn import (
     BurningSequence,
     Graph,
     as_tree,
+    augment_degree2,
     build_graph,
     burning_number,
     canonicalize,
@@ -30,7 +31,7 @@ from treeburn import (
     smooth,
     validate_sequence,
 )
-from treeburn import engine
+from treeburn import construct, engine, exact, graphs
 from treeburn.bounds import margin
 from treeburn.construct import _smoothed
 from treeburn.errors import (
@@ -98,28 +99,30 @@ class TestFindSeparator:
             check_separator_cert(t, cert)
 
 
+def mapped_edges(tree, to_parent):
+    return {tuple(sorted((to_parent[a], to_parent[b]))) for a, b in tree.edges()}
+
+
 class TestSmooth:
     def test_p3_middle(self):
-        sr = smooth(gen_path(3), 1)
-        assert sr.tree.edges() == [(0, 1)]
-        assert sr.to_parent == (0, 2)
-        assert sr.removed == frozenset({1})
+        tree, to_parent = smooth(gen_path(3), 1)
+        assert tree.edges() == [(0, 1)]
+        assert to_parent == [0, 2]
+        assert set(range(3)) - set(to_parent) == {1}
 
     def test_star_center_deletes_surplus_leaf(self):
-        sr = smooth(as_tree(build_graph(4, STAR4)), 0)
-        assert sr.to_parent == (1, 2)
-        assert sr.removed == frozenset({0, 3})
-        assert sr.path_order == (1, 2)
+        tree, to_parent = smooth(as_tree(build_graph(4, STAR4)), 0)
+        assert to_parent == [1, 2]
+        assert set(range(4)) - set(to_parent) == {0, 3}
+        assert mapped_edges(tree, to_parent) == {(1, 2)}  # the path 1-2
 
     def test_one_leaf_two_internal_neighbors(self):
         # 0 is smoothed; leaf 1, internal 2 (children 4, 5), internal 3 (child 6)
         t = as_tree(build_graph(7, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 6)]))
-        sr = smooth(t, 0)
-        assert sr.path_order == (1, 2, 3)
-        mapped_edges = {
-            tuple(sorted((sr.to_parent[a], sr.to_parent[b]))) for a, b in sr.tree.edges()
-        }
-        assert (1, 2) in mapped_edges and (2, 3) in mapped_edges
+        tree, to_parent = smooth(t, 0)
+        edges = mapped_edges(tree, to_parent)
+        # the path runs 1-2-3
+        assert (1, 2) in edges and (2, 3) in edges and (1, 3) not in edges
 
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
@@ -129,18 +132,20 @@ class TestSmooth:
     def test_partition_and_degree2_freedom(self, t, pick):
         internal = [v for v in range(t.n) if t.degree(v) >= 2]
         w = internal[pick % len(internal)]
-        sr = smooth(t, w)
-        # vertex bookkeeping: parent ids split between kept and removed
-        assert set(sr.to_parent) | set(sr.removed) == set(range(t.n))
-        assert not set(sr.to_parent) & set(sr.removed)
-        assert w in sr.removed
-        assert all(t.degree(x) == 1 for x in sr.removed if x != w)
+        tree, to_parent = smooth(t, w)
+        # vertex bookkeeping: the map is ascending into t, and the removed
+        # vertices it misses are w and leaves
+        assert list(to_parent) == sorted(set(to_parent))
+        assert set(to_parent) <= set(range(t.n))
+        removed = set(range(t.n)) - set(to_parent)
+        assert w in removed
+        assert all(t.degree(x) == 1 for x in removed if x != w)
         leaf_nbrs = sum(1 for x in t.neighbors(w) if t.degree(x) == 1)
-        assert sr.tree.n == t.n - 1 - max(0, leaf_nbrs - 2)
+        assert tree.n == len(to_parent) == t.n - 1 - max(0, leaf_nbrs - 2)
         # if w was the only degree-2 vertex, the result has none
         n2, deg2 = degree2_census(t)
         if deg2 in ([], [w]):
-            assert degree2_census(sr.tree)[0] == 0
+            assert degree2_census(tree)[0] == 0
 
 
 def smoothed_without_leaf(t, u, v):
@@ -150,25 +155,38 @@ def smoothed_without_leaf(t, u, v):
     return _smoothed(t, u, rest, [x for x in t.neighbors(u) if x != v])
 
 
+@given(trees(min_n=3), st.integers(0, 2**32))
+def test_derived_trees_equal_their_checked_rebuild(t, pick):
+    # grafting and smoothing build their Tree without as_tree; the checked
+    # path must accept it and give the same sorted adjacency
+    internal = [v for v in range(t.n) if t.degree(v) >= 2]
+    derived = [augment_degree2(t)[0], smooth(t, internal[pick % len(internal)])[0]]
+    pairs = [(u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3]
+    if pairs:  # the smoothing of a subtree, as construct runs it
+        derived.append(smoothed_without_leaf(t, *pairs[pick % len(pairs)])[0])
+    for x in derived:
+        assert as_tree(build_graph(x.n, x.edges())).adjacency == x.adjacency
+
+
 class TestLiftSequence:
     def test_star_with_removed_leaf(self):
         # t = star on 4 vertices: center 0, leaves 1 (the ignition leaf), 2, 3
         t = as_tree(build_graph(4, STAR4))
-        sr = smoothed_without_leaf(t, 0, 1)
-        local = {orig: i for i, orig in enumerate(sr.to_parent)}
+        _, to_parent = smoothed_without_leaf(t, 0, 1)
+        local = {orig: i for i, orig in enumerate(to_parent)}
         seq_prime = BurningSequence((local[2], local[3]))
-        lifted = lift_sequence(t, 0, 1, sr, seq_prime)
+        lifted = lift_sequence(t, 0, 1, to_parent, seq_prime)
         assert lifted.sources == (1, 2, 3)
         assert validate_sequence(t, lifted).total_rounds == 3
 
     def test_double_star(self):
         # centers 0 and 1; smoothing 0 in t - leaf2 leaves a star around 1
         t = gen_double_star(2, 2)
-        sr = smoothed_without_leaf(t, 0, 2)
-        local = {orig: i for i, orig in enumerate(sr.to_parent)}
+        tree, to_parent = smoothed_without_leaf(t, 0, 2)
+        local = {orig: i for i, orig in enumerate(to_parent)}
         seq_prime = BurningSequence((local[1], local[3]))
-        validate_sequence(sr.tree, seq_prime)
-        lifted = lift_sequence(t, 0, 2, sr, seq_prime)
+        validate_sequence(tree, seq_prime)
+        lifted = lift_sequence(t, 0, 2, to_parent, seq_prime)
         assert lifted.sources == (2, 1, 3)
         assert len(lifted) == 3 == burning_number(t).burning_number
 
@@ -179,11 +197,11 @@ class TestLiftSequence:
         t = as_tree(
             build_graph(8, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)])
         )
-        sr = smoothed_without_leaf(t, 0, 1)
-        local = {orig: i for i, orig in enumerate(sr.to_parent)}
+        tree, to_parent = smoothed_without_leaf(t, 0, 1)
+        local = {orig: i for i, orig in enumerate(to_parent)}
         seq_prime = BurningSequence((local[3], local[7], local[5]))
-        validate_sequence(sr.tree, seq_prime)
-        lifted = lift_sequence(t, 0, 1, sr, seq_prime)
+        validate_sequence(tree, seq_prime)
+        lifted = lift_sequence(t, 0, 1, to_parent, seq_prime)
         assert lifted.sources == (1, 3, 7, 6)
         assert len(lifted) <= len(seq_prime) + 1
 
@@ -192,24 +210,26 @@ class TestLiftSequence:
         pairs = [(u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3]
         assume(pairs)
         u, v = pairs[seed % len(pairs)]
-        sr = smoothed_without_leaf(t, u, v)
-        seq = canonicalize(sr.tree, random_valid_schedule(sr.tree, seed))
-        lifted = lift_sequence(t, u, v, sr, seq)
+        tree, to_parent = smoothed_without_leaf(t, u, v)
+        seq = canonicalize(tree, random_valid_schedule(tree, seed))
+        lifted = lift_sequence(t, u, v, to_parent, seq)
         assert lifted.sources[0] == v
         assert validate_sequence(t, lifted).total_rounds == len(lifted) <= len(seq) + 1
 
     def test_structure_mismatch(self):
         t = as_tree(build_graph(4, STAR4))
         tmv, _ = induced_subtree(t, [0, 2, 3])
-        sr = smooth(tmv, 0)  # not translated into t's id space
-        with pytest.raises(StructureMismatch):
-            lift_sequence(t, 0, 1, sr, BurningSequence((0, 1)))
+        _, to_parent = smooth(tmv, 0)  # not translated into t's id space
+        # the leaf, the smoothed vertex, or an id outside t in the map
+        for bad in (to_parent, [0, 2], [2, 4]):
+            with pytest.raises(StructureMismatch):
+                lift_sequence(t, 0, 1, bad, BurningSequence((0, 1)))
 
     def test_preconditions(self):
         t = gen_path(4)
-        sr = smoothed_without_leaf(t, 1, 3)
+        _, to_parent = smoothed_without_leaf(t, 1, 3)
         with pytest.raises(PreconditionViolated):
-            lift_sequence(t, 2, 3, sr, BurningSequence((0, 1)))  # degree(2) == 2
+            lift_sequence(t, 2, 3, to_parent, BurningSequence((0, 1)))  # degree(2) == 2
 
 
 class TestConstructNoDeg2:
@@ -277,6 +297,7 @@ class TestWorkPerLevel:
         self, monkeypatch
     ):
         counts = {"burn": 0, "strict": 0, "connected": 0, "connected_in_burn": 0}
+        counts.update(build_graph=0, as_tree=0)
         inside = []
         burn, is_connected = engine._burn, Graph.is_connected
 
@@ -293,9 +314,21 @@ class TestWorkPerLevel:
             counts["connected_in_burn" if inside else "connected"] += 1
             return is_connected(graph)
 
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
         t = gen_random_tree(1600, 0)
         monkeypatch.setattr(engine, "_burn", counting_burn)
         monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
+        # every binding of the checked constructors that construct could reach
+        for module in (graphs, exact, construct):
+            for name in ("build_graph", "as_tree"):
+                fn = counting(name, getattr(graphs, name))
+                monkeypatch.setattr(module, name, fn, raising=False)
         cert = construct_general(t)
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
@@ -306,8 +339,10 @@ class TestWorkPerLevel:
         assert counts["burn"] <= len(levels) + 5
         assert counts["strict"] <= 4
         assert counts["connected_in_burn"] == 0
-        # one as_tree per smoothed level, plus augment and the exact solve
-        assert counts["connected"] <= len(levels) + 2
+        # derived trees are built without a check; the one connectivity
+        # pass left is the exact fallback's, whatever the level count
+        assert counts["build_graph"] == counts["as_tree"] == 0
+        assert counts["connected"] <= 1
 
 
 class TestProjectToSubtree:
