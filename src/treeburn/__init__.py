@@ -16,7 +16,6 @@ from .engine import (  # noqa: F401
     EMPTY,
     BurningSequence,
     RoundLabeling,
-    Schedule,
     canonicalize,
     greedy_schedule,
     simulate,

@@ -24,7 +24,7 @@ from .certs import (
     verify_document,
 )
 from .construct import construct_general
-from .engine import Schedule, simulate
+from .engine import simulate
 from .errors import TooLarge
 from .exact import burning_number
 from .graphs import (
@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
             except ValueError:
                 raise ParseError(f"source token {tok!r} is not an integer or '_'")
     try:
-        labeling = simulate(g, Schedule(tuple(rounds)))
+        labeling = simulate(g, rounds)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,9 @@ designated heavy edge, burning the small branches by plain propagation from
 v, and descending into the one remaining branch after smoothing its root
 away.  Arbitrary trees are first made degree-2-free by grafting a leaf onto
 every degree-2 vertex, and the sequence found on the grafted tree is
-projected back.
+projected back.  Lifting and projection are one transport step: map the
+sources, burn greedily, fill the empty rounds canonically and check a
+length bound (one round more for a lift, none for a projection).
 
 Every certificate is validated by simulation, once, before it is returned;
 a violated length bound raises InternalBoundViolation, never a wrong answer.
@@ -16,21 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
 from .engine import (
     BurningSequence,
     RoundLabeling,
     _fill_rounds,
-    canonicalize,
     greedy_schedule,
     validate_sequence,
 )
 from .errors import (
     DegreeTooSmall,
     InternalBoundViolation,
-    NotInducedSubtree,
     PreconditionViolated,
     StructureMismatch,
 )
@@ -38,7 +38,6 @@ from .exact import burning_number
 from .graphs import (
     Tree,
     augment_degree2,
-    bfs_distances,
     component_vertices_beyond,
     degree2_census,
 )
@@ -124,7 +123,7 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> SeparatorCert:
     if not 1 <= p < n - 1:
         raise PreconditionViolated(f"threshold {p} outside [1, {n - 1})")
 
-    heavy = min(t.leaves())
+    heavy = next(x for x in range(n) if t.degree(x) == 1)
     v = t.neighbors(heavy)[0]
     parent, size = _rooted_sizes(t, heavy)
 
@@ -195,24 +194,24 @@ def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     return _smoothed(t, w, range(t.n), t.neighbors(w))
 
 
-def _lift(
-    t: Tree, v: int, to_parent: Sequence[int], seq: BurningSequence, part: Sequence[int]
-) -> tuple[list[int], RoundLabeling]:
-    """Lift seq onto t: v ignites in round 1, each source (mapped through
-    to_parent) follows one round late and is dropped if the fire beat it.
+def _transport(
+    t: Tree, proposals: Sequence[int], part: Sequence[int], bound: int
+) -> tuple[BurningSequence, RoundLabeling]:
+    """The greedy burn of proposals on t, canonicalized, and its labeling.
 
-    part is the smoothed subtree plus v.  It meets the rest of t only at v,
-    so its labels are those of the lift run on part alone.  Returns the
-    lifted sequence up to the last round that burns part, each dropped round
-    filled from part, and the labeling of the run on t.
-    """
-    schedule, labeling = greedy_schedule(t, [v] + [to_parent[s] for s in seq.sources])
-    lift_rounds = max(labeling.labels[x] for x in part)
-    if lift_rounds > len(seq) + 1:
+    part must burn within bound rounds.  Each empty round gets the lowest-id
+    vertex burning in it: from part up to the round that burns the last of
+    part, from all of t after that."""
+    rounds, labeling = greedy_schedule(t, proposals)
+    labels = labeling.labels
+    part_rounds = max(labels[x] for x in part)
+    if part_rounds > bound:
         raise InternalBoundViolation(
-            f"lift took {lift_rounds} rounds, bound {len(seq) + 1}"
+            f"transport took {part_rounds} rounds, bound {bound}"
         )
-    return _fill_rounds(schedule.rounds, labeling.labels, lift_rounds, part), labeling
+    filled = _fill_rounds(rounds, labels, part_rounds, part)
+    filled = _fill_rounds(filled, labels, labeling.total_rounds, range(t.n))
+    return BurningSequence(tuple(filled)), labeling
 
 
 def lift_sequence(
@@ -223,8 +222,8 @@ def lift_sequence(
 
     to_parent maps the smoothed tree's ids to t's; u, v and the surplus
     leaves are the vertices it misses.  The leaf ignites in round 1; each
-    original source follows one round late, dropped (round left empty) if
-    the fire reached it first.
+    original source follows one round late; if the fire reached it first,
+    its round gets the lowest-id vertex burning in it instead.
     """
     if not (0 <= v < t.n and 0 <= u < t.n):
         raise StructureMismatch("u and v must be vertices of t")
@@ -235,9 +234,11 @@ def lift_sequence(
     mapped = set(to_parent)
     if u in mapped or v in mapped or not mapped <= set(range(t.n)):
         raise StructureMismatch("to_parent must map into t minus u and v")
+    if not all(0 <= s < len(to_parent) for s in seq_prime.sources):
+        raise StructureMismatch("sources must be vertices of the smoothed tree")
 
-    lifted, _ = _lift(t, v, to_parent, seq_prime, range(t.n))
-    return BurningSequence(tuple(lifted))
+    proposals = [v] + [to_parent[s] for s in seq_prime.sources]
+    return _transport(t, proposals, range(t.n), len(seq_prime) + 1)[0]
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
@@ -316,12 +317,12 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
             raise InternalBoundViolation(
                 f"branch sequence length {len(seq)} > {target - 1}"
             )
-        drive, labeling = _lift(level, v, to_parent, seq, part)
+        proposals = [v] + [to_parent[s] for s in seq.sources]
+        seq, labeling = _transport(level, proposals, part, len(seq) + 1)
         if labeling.total_rounds > target:
             raise InternalBoundViolation(
                 f"assembled process took {labeling.total_rounds} rounds, target {target}"
             )
-        seq = canonicalize(level, drive, labeling)
         row["length"] = len(seq)
 
     labeling = validate_sequence(t, seq)
@@ -329,38 +330,21 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
 
 
 def project_to_subtree(
-    t_sub: Tree, t_sup: Tree, seq: BurningSequence
+    t: Tree, attach: Mapping[int, int], seq: BurningSequence
 ) -> BurningSequence:
-    """Replay a sequence for t_sup on the induced subtree t_sub.
+    """Replay a sequence for the grafted tree on t, where (grafted tree,
+    attach) is augment_degree2(t).
 
-    t_sub's vertices must be ids 0..t_sub.n-1 of t_sup and induce exactly
-    t_sub.  Each source maps to itself if inside the subtree, else to its
-    nearest subtree vertex (graph distance in t_sup, ties by lowest id);
-    sources the fire beat are dropped.  The result is never longer than seq;
-    it is the canonical form of the greedy run, so it needs no replay here
-    (construct_general validates its final sequence).
+    A vertex of t maps to itself, and a grafted leaf to its attachment
+    vertex: the leaf's only neighbor, hence its unique nearest vertex of t.
+    Sources the fire beat are dropped.  The result is never longer than
+    seq; it is the canonical form of the greedy run, so it needs no replay
+    here (construct_general validates its final sequence).
     """
-    k = t_sub.n
-    if k > t_sup.n:
-        raise NotInducedSubtree("subtree has more vertices than the host")
-    inside = {(a, b) for a, b in t_sup.edges() if a < k and b < k}
-    if inside != set(t_sub.edges()):
-        raise NotInducedSubtree("vertex prefix does not induce the given subtree")
-    proposals = []
-    for y in seq.sources:
-        if not 0 <= y < t_sup.n:
-            raise StructureMismatch(f"source {y} is not a vertex of the host tree")
-        if y < k:
-            proposals.append(y)
-        else:
-            dist = bfs_distances(t_sup, y)
-            proposals.append(min(range(k), key=lambda x: (dist[x], x)))
-    schedule, labeling = greedy_schedule(t_sub, proposals)
-    if labeling.total_rounds > len(seq):
-        raise InternalBoundViolation(
-            f"projection took {labeling.total_rounds} rounds, bound {len(seq)}"
-        )
-    return canonicalize(t_sub, schedule, labeling)
+    proposals = [attach.get(y, y) for y in seq.sources]
+    if not all(0 <= x < t.n for x in proposals):
+        raise StructureMismatch("a source is neither a vertex of t nor a grafted leaf")
+    return _transport(t, proposals, range(t.n), len(seq))[0]
 
 
 def construct_general(t: Tree) -> BoundCertificate:
@@ -370,14 +354,14 @@ def construct_general(t: Tree) -> BoundCertificate:
     with the largest admissible margin, and projects the sequence back.
     """
     n = t.n
-    t1, _ = augment_degree2(t)
+    t1, attach = augment_degree2(t)
     n2 = t1.n - n  # one leaf grafted per degree-2 vertex
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     target = refined_bound(n, n2)
     inner = construct_no_deg2(t1, m)
     if inner.target != target:
         raise InternalBoundViolation("augmented target disagrees with the bound")
-    seq = project_to_subtree(t, t1, inner.sequence)
+    seq = project_to_subtree(t, attach, inner.sequence)
     if len(seq) > target:
         raise InternalBoundViolation(
             f"projected length {len(seq)} exceeds target {target}"

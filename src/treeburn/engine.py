@@ -5,35 +5,21 @@ adjacent to a vertex burned in an earlier round, and the round's source (if
 any) is burned as well.  A source is eligible iff it is unburned at the
 START of its round; it may coincide with a vertex the fire reaches by
 adjacency in the same round.  This round-start rule is what makes sequence
-lifting and projection compose exactly.
+lifting and projection compose exactly.  A schedule is a plain sequence
+of per-round sources (entry r-1 drives round r, EMPTY marks a round with no
+source), and round 1 must name a vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned
-from .graphs import Graph, Tree
+from .graphs import Graph
 
 # An empty round: the fire only spreads by adjacency.
 EMPTY: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Per-round sources; entry r-1 drives round r.  None marks an empty round.
-
-    Round 1 must name a vertex: nothing burns before the first source.
-    """
-
-    rounds: tuple[Optional[int], ...]
-
-    def __post_init__(self):
-        if not self.rounds:
-            raise ValueError("schedule must have at least one round")
-        if self.rounds[0] is None:
-            raise ValueError("round 1 cannot be empty")
 
 
 @dataclass(frozen=True)
@@ -64,17 +50,6 @@ class RoundLabeling:
         return dict(enumerate(self.labels))
 
 
-ScheduleLike = Union[Schedule, BurningSequence, Sequence[Optional[int]]]
-
-
-def _rounds_of(s: ScheduleLike) -> tuple[Optional[int], ...]:
-    if isinstance(s, Schedule):
-        return s.rounds
-    if isinstance(s, BurningSequence):
-        return s.sources
-    return Schedule(tuple(s)).rounds
-
-
 def _burn(
     g: Graph, rounds: Sequence[Optional[int]], strict: bool
 ) -> tuple[list[Optional[int]], RoundLabeling]:
@@ -84,13 +59,13 @@ def _burn(
     when strict, and is demoted to an empty round otherwise.  Returns the
     per-round sources actually used, up to the round the process ends in.
 
-    Only a bare Graph gets a connectivity pass: as_tree has checked every
-    Tree.  On a connected graph every round burns some vertex until the
+    Only a bare Graph gets a connectivity pass: Tree.is_connected trusts
+    the type.  On a connected graph every round burns some vertex until the
     last, so a round that burns none raises NotConnected; a Tree built
     around a disconnected adjacency therefore cannot loop forever.
     """
     n = g.n
-    if n == 0 or not (isinstance(g, Tree) or g.is_connected()):
+    if n == 0 or not g.is_connected():
         raise NotConnected("burning is defined on connected graphs")
     if not rounds or rounds[0] is None:
         raise ValueError("round 1 needs a concrete source")
@@ -127,7 +102,7 @@ def _burn(
     return kept, RoundLabeling(tuple(labels), r)
 
 
-def simulate(g: Graph, schedule: ScheduleLike) -> RoundLabeling:
+def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:
     """Run the burning process for the given schedule on a connected graph.
 
     Rounds past the end of the schedule proceed with empty sources until all
@@ -135,7 +110,6 @@ def simulate(g: Graph, schedule: ScheduleLike) -> RoundLabeling:
     burned at the start of its round -- including any source scheduled after
     the process has already terminated.
     """
-    rounds = _rounds_of(schedule)
     _, labeling = _burn(g, rounds, strict=True)
     # Sources scheduled after termination can never be unburned.
     for later in range(labeling.total_rounds, len(rounds)):
@@ -147,7 +121,7 @@ def simulate(g: Graph, schedule: ScheduleLike) -> RoundLabeling:
 def validate_sequence(g: Graph, seq: BurningSequence) -> RoundLabeling:
     """Check that seq is a burning sequence: the process it drives must
     terminate in exactly len(seq) rounds.  Returns the labeling."""
-    labeling = simulate(g, Schedule(tuple(seq.sources)))
+    labeling = simulate(g, seq.sources)
     if labeling.total_rounds != len(seq):
         raise LengthMismatch(labeling.total_rounds)
     return labeling
@@ -155,7 +129,7 @@ def validate_sequence(g: Graph, seq: BurningSequence) -> RoundLabeling:
 
 def greedy_schedule(
     g: Graph, proposals: Sequence[Optional[int]]
-) -> tuple[Schedule, RoundLabeling]:
+) -> tuple[tuple[Optional[int], ...], RoundLabeling]:
     """Run the process keeping each round's proposed source iff it is still
     unburned at the start of its round, demoting it to an empty round
     otherwise.  Rounds continue past the proposals until everything burns.
@@ -165,7 +139,7 @@ def greedy_schedule(
     instead of invalidating the schedule.
     """
     kept, labeling = _burn(g, proposals, strict=False)
-    return Schedule(tuple(kept)), labeling
+    return tuple(kept), labeling
 
 
 def _fill_rounds(
@@ -188,22 +162,9 @@ def _fill_rounds(
     return sources
 
 
-def canonicalize(
-    g: Graph, schedule: ScheduleLike, labeling: Optional[RoundLabeling] = None
-) -> BurningSequence:
+def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
-    producing a burning sequence that induces the identical process.
-
-    labeling, when given, is that of the run that produced the schedule (as
-    returned by greedy_schedule or simulate); otherwise the schedule is
-    simulated here.
-    """
-    rounds = _rounds_of(schedule)
-    if labeling is None:
-        labeling = simulate(g, rounds)
-    elif len(labeling.labels) != g.n or len(rounds) > labeling.total_rounds:
-        raise ValueError("labeling does not belong to this graph and schedule")
-    filled = _fill_rounds(
-        rounds, labeling.labels, labeling.total_rounds, range(g.n)
-    )
+    producing a burning sequence that induces the identical process."""
+    labeling = simulate(g, rounds)
+    filled = _fill_rounds(rounds, labeling.labels, labeling.total_rounds, range(g.n))
     return BurningSequence(tuple(filled))

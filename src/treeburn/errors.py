@@ -50,10 +50,6 @@ class DegreeTooSmall(ValueError):
     """The vertex to smooth must have degree at least 2."""
 
 
-class NotInducedSubtree(ValueError):
-    """The smaller tree is not an induced connected subtree of the larger one."""
-
-
 class StructureMismatch(ValueError):
     """Auxiliary data (maps, smoothing results) does not fit the given tree."""
 

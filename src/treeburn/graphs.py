@@ -72,7 +72,10 @@ class Tree(Graph):
     """Connected acyclic graph.  A Tree is made by as_tree(), which checks
     this, or derived from a Tree by grafting leaves (augment_degree2) or by
     smoothing a vertex (construct.smooth), both of which keep it a tree.
-    The burning loop trusts the type and skips its own pass."""
+    Connectivity checks trust the type instead of running a pass."""
+
+    def is_connected(self) -> bool:
+        return self.n > 0
 
     @property
     def graph(self) -> Graph:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from treeburn import Schedule, Tree, gen_path, prufer_decode
+from treeburn import Tree, gen_path, prufer_decode
 from treeburn.rng import SplitMix64
 
 
@@ -17,7 +17,7 @@ def trees(draw, min_n: int = 1, max_n: int = 24) -> Tree:
     return prufer_decode(code)
 
 
-def random_valid_schedule(tree: Tree, seed: int) -> Schedule:
+def random_valid_schedule(tree: Tree, seed: int) -> tuple[int | None, ...]:
     """A schedule that never violates source eligibility: at each round,
     either skip or pick a vertex that is unburned at the round's start."""
     rng = SplitMix64(seed)
@@ -46,4 +46,4 @@ def random_valid_schedule(tree: Tree, seed: int) -> Schedule:
             rounds.append(None)
         burned += len(newly)
         frontier = newly
-    return Schedule(tuple(rounds))
+    return tuple(rounds)

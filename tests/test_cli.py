@@ -101,12 +101,17 @@ class TestSimulate:
         assert doc["total_rounds"] == 2
         assert doc["labels"] == {"0": 2, "1": 1, "2": 2}
 
-    def test_invalid_schedule_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sources, message",
+        [(["0", "_", "1"], "burned"), (["_", "1"], "round 1")],
+        ids=["source-already-burned", "empty-first-round"],
+    )
+    def test_invalid_schedule_exits_1(self, tmp_path, capsys, sources, message):
         tree = tmp_path / "p2.txt"
         tree.write_text("2\n0 1\n")
-        code, _, err = run(["simulate", str(tree), "0", "_", "1"], capsys)
+        code, _, err = run(["simulate", str(tree), *sources], capsys)
         assert code == 1
-        assert "burned" in err
+        assert err.startswith("error: ") and message in err
 
 
 class TestExact:

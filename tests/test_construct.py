@@ -11,6 +11,7 @@ from treeburn import (
     Graph,
     as_tree,
     augment_degree2,
+    bfs_distances,
     build_graph,
     burning_number,
     canonicalize,
@@ -24,6 +25,7 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
+    greedy_schedule,
     induced_subtree,
     lift_sequence,
     project_to_subtree,
@@ -36,7 +38,6 @@ from treeburn.bounds import margin
 from treeburn.construct import _smoothed
 from treeburn.errors import (
     DegreeTooSmall,
-    NotInducedSubtree,
     PreconditionViolated,
     StructureMismatch,
 )
@@ -224,6 +225,13 @@ class TestLiftSequence:
         for bad in (to_parent, [0, 2], [2, 4]):
             with pytest.raises(StructureMismatch):
                 lift_sequence(t, 0, 1, bad, BurningSequence((0, 1)))
+        # a source outside the smoothed tree, below or above its ids
+        t = gen_random_no_deg2(20, 3)
+        u, v = next((u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3)
+        _, to_parent = smoothed_without_leaf(t, u, v)
+        for source in (-1, len(to_parent)):
+            with pytest.raises(StructureMismatch):
+                lift_sequence(t, u, v, to_parent, BurningSequence((0, source)))
 
     def test_preconditions(self):
         t = gen_path(4)
@@ -339,63 +347,70 @@ class TestWorkPerLevel:
         assert counts["burn"] <= len(levels) + 5
         assert counts["strict"] <= 4
         assert counts["connected_in_burn"] == 0
-        # derived trees are built without a check; the one connectivity
-        # pass left is the exact fallback's, whatever the level count
+        # derived trees are built without a check, and a Tree trusts its
+        # type for connectivity, so no level runs a connectivity pass
         assert counts["build_graph"] == counts["as_tree"] == 0
-        assert counts["connected"] <= 1
+        assert counts["connected"] == 0
 
 
 class TestProjectToSubtree:
     def test_identity(self):
         t = gen_path(3)
         seq = BurningSequence((1, 0))
-        assert project_to_subtree(t, t, seq).sources == (1, 0)
+        assert project_to_subtree(t, {}, seq).sources == (1, 0)
 
     def test_middle_leaf_host(self):
-        sub = gen_path(3)
-        sup = as_tree(build_graph(4, [(0, 1), (1, 2), (1, 3)]))
-        seq = BurningSequence((1, 0))
-        validate_sequence(sup, seq)
-        projected = project_to_subtree(sub, sup, seq)
-        assert projected.sources == (1, 0)
-        assert validate_sequence(sub, projected).total_rounds == 2
+        # grafting P3 hangs leaf 3 on its middle vertex
+        t = gen_path(3)
+        t1, attach = augment_degree2(t)
+        assert (t1.edges(), attach) == ([(0, 1), (1, 2), (1, 3)], {3: 1})
+        # the grafted leaf 3 projects to its attachment 1
+        for sources in ((1, 0), (3, 0, 2)):
+            seq = BurningSequence(sources)
+            validate_sequence(t1, seq)
+            projected = project_to_subtree(t, attach, seq)
+            assert projected.sources == (1, 0)
+            assert validate_sequence(t, projected).total_rounds == 2
 
     def test_star_to_path(self):
-        sup = as_tree(build_graph(4, STAR4))
-        sub = as_tree(build_graph(3, [(0, 1), (0, 2)]))
-        seq = BurningSequence((0, 1))
-        projected = project_to_subtree(sub, sup, seq)
+        # grafting the path 1-0-2 gives the star on 4 vertices
+        t = as_tree(build_graph(3, [(0, 1), (0, 2)]))
+        t1, attach = augment_degree2(t)
+        assert (t1.edges(), attach) == (STAR4, {3: 0})
+        projected = project_to_subtree(t, attach, BurningSequence((0, 1)))
         assert projected.sources == (0, 1)
 
-    def test_outside_source_maps_to_nearest(self):
-        # host path 0-1-2-3-4, subtree 0-1-2; source 4 maps to vertex 2
-        sub = gen_path(3)
-        sup = gen_path(5)
-        seq = BurningSequence((4, 1, 0))
-        validate_sequence(sup, seq)
-        projected = project_to_subtree(sub, sup, seq)
-        assert projected.sources[0] == 2
-        assert len(projected) <= 3
-
-    def test_not_induced(self):
-        sup = as_tree(build_graph(4, STAR4))
-        sub = gen_path(3)  # edges (0,1),(1,2) vs induced (0,1),(0,2)
-        with pytest.raises(NotInducedSubtree):
-            project_to_subtree(sub, sup, BurningSequence((0, 1)))
+    def test_source_outside_the_grafting_rejected(self):
+        t = gen_path(3)
+        _, attach = augment_degree2(t)
+        for source in (-1, 4):
+            with pytest.raises(StructureMismatch):
+                project_to_subtree(t, attach, BurningSequence((1, source)))
 
     @settings(max_examples=60, deadline=None)
-    @given(trees(min_n=2, max_n=18), st.integers(0, 2**31))
-    def test_projection_never_longer(self, sup, seed):
-        rng = SplitMix64(seed)
-        k = 1 + rng.below(sup.n)
-        try:
-            sub, _ = induced_subtree(sup, range(k))
-        except ValueError:
-            return  # prefix not connected; not a valid projection input
-        res = burning_number(sup)
-        projected = project_to_subtree(sub, sup, res.witness)
-        assert len(projected) <= len(res.witness)
-        validate_sequence(sub, projected)
+    @given(trees(min_n=1, max_n=18), st.integers(0, 2**31))
+    def test_projection_never_longer(self, t, seed):
+        t1, attach = augment_degree2(t)
+        seq = canonicalize(t1, random_valid_schedule(t1, seed))
+        projected = project_to_subtree(t, attach, seq)
+        assert len(projected) <= len(seq)
+        validate_sequence(t, projected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(max_n=14))
+def test_projection_matches_nearest_vertex_oracle(t):
+    # independent oracle: send each source of the grafted tree's exact
+    # witness to its nearest vertex of t by BFS (ties by lowest id), burn
+    # greedily and canonicalize
+    t1, attach = augment_degree2(t)
+    witness = burning_number(t1).witness
+    nearest = []
+    for y in witness.sources:
+        dist = bfs_distances(t1, y)
+        nearest.append(min(range(t.n), key=lambda x: (dist[x], x)))
+    rounds, _ = greedy_schedule(t, nearest)
+    assert project_to_subtree(t, attach, witness) == canonicalize(t, rounds)
 
 
 class TestConstructGeneral:

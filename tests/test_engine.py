@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from treeburn import (
     EMPTY,
     BurningSequence,
-    Schedule,
     Tree,
     build_graph,
     canonicalize,
@@ -21,63 +20,63 @@ from .strategies import random_valid_schedule, trees
 
 class TestSimulate:
     def test_path4_two_sources(self):
-        lab = simulate(gen_path(4), Schedule((1, 3)))
+        lab = simulate(gen_path(4), (1, 3))
         assert lab.labels == (2, 1, 2, 2)
         assert lab.total_rounds == 2
 
     def test_single_vertex(self):
-        lab = simulate(build_graph(1, []), Schedule((0,)))
+        lab = simulate(build_graph(1, []), (0,))
         assert lab.labels == (1,)
         assert lab.total_rounds == 1
 
     def test_pure_propagation_from_end(self):
-        lab = simulate(gen_path(4), Schedule((0,)))
+        lab = simulate(gen_path(4), (0,))
         assert lab.labels == (1, 2, 3, 4)
         assert lab.total_rounds == 4
 
     def test_empty_rounds_in_schedule(self):
-        lab = simulate(gen_path(3), Schedule((1, EMPTY)))
+        lab = simulate(gen_path(3), (1, EMPTY))
         assert lab.labels == (2, 1, 2)
         assert lab.total_rounds == 2
 
     def test_round_one_must_have_source(self):
         with pytest.raises(ValueError):
-            Schedule((EMPTY, 1))
+            simulate(gen_path(2), (EMPTY, 1))
         with pytest.raises(ValueError):
-            Schedule(())
+            simulate(gen_path(2), ())
 
     def test_source_already_burned(self):
         with pytest.raises(SourceAlreadyBurned) as exc:
-            simulate(gen_path(3), Schedule((0, EMPTY, 0)))
+            simulate(gen_path(3), (0, EMPTY, 0))
         assert exc.value.round_no == 3
         assert exc.value.vertex == 0
 
     def test_source_after_termination(self):
         # all of P2 is burned after round 2; a round-3 source cannot exist
         with pytest.raises(SourceAlreadyBurned) as exc:
-            simulate(gen_path(2), Schedule((0, EMPTY, 1)))
+            simulate(gen_path(2), (0, EMPTY, 1))
         assert exc.value.round_no == 3
 
     def test_source_eligible_when_fire_arrives_same_round(self):
         # vertex 1 burns by adjacency in round 2; naming it as the round-2
         # source is still legal because it was unburned at the round start
-        lab = simulate(gen_path(4), Schedule((0, 1)))
+        lab = simulate(gen_path(4), (0, 1))
         assert lab.labels == (1, 2, 3, 4)
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnected):
-            simulate(build_graph(4, [(0, 1), (2, 3)]), Schedule((0,)))
+            simulate(build_graph(4, [(0, 1), (2, 3)]), (0,))
 
     def test_disconnected_graph_rejected_with_a_source_per_component(self):
         # no round stalls here, so only the upfront pass can catch it
         with pytest.raises(NotConnected):
-            simulate(build_graph(4, [(0, 1), (2, 3)]), Schedule((0, 2)))
+            simulate(build_graph(4, [(0, 1), (2, 3)]), (0, 2))
 
     def test_disconnected_tree_stops_instead_of_hanging(self):
         # Tree() bypasses as_tree's connectivity check
         t = Tree(build_graph(4, [(0, 1), (2, 3)]).adjacency)
         with pytest.raises(NotConnected):
-            simulate(t, Schedule((0,)))
+            simulate(t, (0,))
         with pytest.raises(NotConnected):
             greedy_schedule(t, [0, 0])
         with pytest.raises(NotConnected):
@@ -127,24 +126,17 @@ class TestCanonicalize:
         assert len(seq) == 5
         assert seq.sources[0] == 4
 
-    def test_labeling_that_does_not_fit_is_rejected(self):
-        lab = simulate(gen_path(3), (1,))
-        with pytest.raises(ValueError):
-            canonicalize(gen_path(4), (1,), lab)
-        with pytest.raises(ValueError):
-            canonicalize(gen_path(3), (1, EMPTY, 0), lab)
-
 
 class TestGreedySchedule:
     def test_keeps_live_proposals(self):
         sched, lab = greedy_schedule(gen_path(4), [1, 3])
-        assert sched.rounds == (1, 3)
+        assert sched == (1, 3)
         assert lab.total_rounds == 2
 
     def test_drops_burned_proposal(self):
         # vertex 1 is burned in round 1; the round-2 proposal must drop out
         sched, lab = greedy_schedule(gen_path(4), [1, 1])
-        assert sched.rounds[1] is None
+        assert sched[1] is None
         assert lab.total_rounds == 3
 
 
@@ -154,10 +146,9 @@ def test_canonicalize_reproduces_process(t, seed):
     schedule = random_valid_schedule(t, seed)
     lab = simulate(t, schedule)
     seq = canonicalize(t, schedule)
-    assert canonicalize(t, schedule, lab) == seq
     lab2 = validate_sequence(t, seq)
     assert lab2 == lab
-    for r, src in enumerate(schedule.rounds, start=1):
+    for r, src in enumerate(schedule, start=1):
         if src is not None:
             assert seq.sources[r - 1] == src
 
@@ -169,7 +160,7 @@ def test_label_recurrence(t, seed):
     lab = simulate(t, schedule)
     assert max(lab.labels) == lab.total_rounds
     assert min(lab.labels) == 1
-    source_round = {v: r for r, v in enumerate(schedule.rounds, start=1) if v is not None}
+    source_round = {v: r for r, v in enumerate(schedule, start=1) if v is not None}
     for v in range(t.n):
         nb_min = min((lab.labels[u] for u in t.neighbors(v)), default=None)
         if v in source_round:
@@ -188,7 +179,7 @@ def test_labels_match_closed_form_over_distances(t, seed):
 
     schedule = random_valid_schedule(t, seed)
     lab = simulate(t, schedule)
-    placed = [(r, v) for r, v in enumerate(schedule.rounds, start=1) if v is not None]
+    placed = [(r, v) for r, v in enumerate(schedule, start=1) if v is not None]
     for w in range(t.n):
         expected = min(r + bfs_distances(t, v)[w] for r, v in placed)
         assert lab.labels[w] == expected
