@@ -50,7 +50,6 @@ from .graphs import (  # noqa: F401
 )
 from .construct import (  # noqa: F401
     BoundCertificate,
-    SeparatorCert,
     construct_general,
     construct_no_deg2,
     find_separator,

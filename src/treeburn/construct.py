@@ -37,31 +37,14 @@ from .errors import (
 from .exact import burning_number
 from .graphs import (
     Tree,
+    _require_vertices,
     augment_degree2,
-    component_vertices_beyond,
     degree2_census,
 )
 
 # Exact solving is instantaneous at this size and covers every order where
 # the separator threshold would fall outside its valid range.
 EXACT_FALLBACK_N = 9
-
-
-@dataclass(frozen=True)
-class SeparatorCert:
-    """A vertex v whose branches are all at most p, except that the rest of
-    the tree across the edge to the last listed neighbor exceeds p.
-
-    neighbors lists v's neighborhood with the heavy neighbor last; sizes[i]
-    is the order of the branch through neighbors[i] for i < k-1, and
-    sizes[k-1] is the order of v's own side across the heavy edge.
-    """
-
-    vertex: int
-    neighbors: tuple[int, ...]
-    heavy_index: int  # 1-based position of the heavy neighbor (== k)
-    threshold: Fraction
-    sizes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -84,35 +67,18 @@ class BoundCertificate:
     trace: tuple[dict, ...]
 
 
-def _rooted_sizes(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    n = t.n
-    parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in t.neighbors(u):
-            if parent[w] == -1:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    size = [1] * n
-    for u in reversed(order):
-        if u != root:
-            size[parent[u]] += size[u]
-    return parent, size
+def find_separator(t: Tree, p: Union[int, Fraction]) -> tuple[int, int, list[int]]:
+    """Locate a separator for threshold p in [1, n-1): a vertex v, its heavy
+    neighbor, and the heavy branch (the component of t minus that edge on
+    the heavy side, ascending).  Every other branch at v has at most p
+    vertices, and v's own side across the heavy edge exceeds p.
 
-
-def find_separator(t: Tree, p: Union[int, Fraction]) -> SeparatorCert:
-    """Locate a separator vertex for threshold p in [1, n-1).
-
-    Walk: start at the neighbor of the lowest-id leaf with that leaf as the
-    heavy neighbor; while some non-heavy branch exceeds p, step into the
-    first such branch (ascending id) and let the old position become the new
-    heavy neighbor.  The side of the walk position across the heavy edge
-    always exceeds p, and it shrinks strictly at every step, so the walk
-    terminates at a valid certificate.
+    One rooted pass: root t at its lowest-id leaf and start the walk at the
+    root's neighbor; while some child subtree of the walk position exceeds
+    p, step into the first such child (ascending id).  The heavy neighbor is
+    always the parent, so the light branches are child subtrees and the
+    heavy branch is everything outside v's subtree.  v's subtree has more
+    than p vertices and shrinks strictly at every step, so the walk ends.
     """
     if isinstance(p, float):
         raise TypeError("p must be an exact rational, not a float")
@@ -123,32 +89,32 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> SeparatorCert:
     if not 1 <= p < n - 1:
         raise PreconditionViolated(f"threshold {p} outside [1, {n - 1})")
 
-    heavy = next(x for x in range(n) if t.degree(x) == 1)
-    v = t.neighbors(heavy)[0]
-    parent, size = _rooted_sizes(t, heavy)
+    root = next(x for x in range(n) if t.degree(x) == 1)
+    parent = [-1] * n
+    parent[root] = root
+    order = []  # preorder: every subtree is a contiguous slice
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in t.neighbors(u):
+            if parent[w] == -1:
+                parent[w] = u
+                stack.append(w)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
 
-    def branch_size(center: int, nb: int) -> int:
-        return size[nb] if parent[nb] == center else n - size[center]
-
+    v = t.neighbors(root)[0]
     while True:
-        step = None
-        for u in t.neighbors(v):
-            if u != heavy and branch_size(v, u) > p:
-                step = u
-                break
+        step = next(
+            (u for u in t.neighbors(v) if u != parent[v] and size[u] > p), None
+        )
         if step is None:
-            lights = tuple(u for u in t.neighbors(v) if u != heavy)
-            sizes = tuple(branch_size(v, u) for u in lights) + (
-                n - branch_size(v, heavy),
-            )
-            return SeparatorCert(
-                vertex=v,
-                neighbors=lights + (heavy,),
-                heavy_index=len(lights) + 1,
-                threshold=p,
-                sizes=sizes,
-            )
-        heavy, v = v, step
+            break
+        v = step
+    lo = order.index(v)
+    return v, parent[v], sorted(order[:lo] + order[lo + size[v]:])
 
 
 def _smoothed(
@@ -188,6 +154,7 @@ def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     smoothed tree and its map to t's ids (ascending); the removed vertices
     are the ones the map misses.
     """
+    _require_vertices(t, w)
     q = t.degree(w)
     if q < 2:
         raise DegreeTooSmall(f"vertex {w} has degree {q}")
@@ -294,10 +261,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
             m_eff = 0
             if ceil_sqrt(n) != target:
                 raise InternalBoundViolation("margin drop changed the target")
-        sep = find_separator(level, Fraction(4 * target - 3, 2))  # 2*target - 3/2
-        v = sep.vertex
-        heavy = sep.neighbors[-1]
-        branch = component_vertices_beyond(level, v, heavy)
+        p = Fraction(4 * target - 3, 2)  # 2*target - 3/2
+        v, heavy, branch = find_separator(level, p)
         row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
         if len(branch) == 1:
             row["step"] = "pendant"

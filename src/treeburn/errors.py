@@ -10,7 +10,7 @@ class DuplicateEdge(ValueError):
 
 
 class VertexOutOfRange(ValueError):
-    """An edge endpoint is not a valid vertex id."""
+    """A vertex id (an edge endpoint or a queried vertex) is outside 0..n-1."""
 
 
 class NotAnEdge(ValueError):

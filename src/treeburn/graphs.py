@@ -82,9 +82,6 @@ class Tree(Graph):
         """The same adjacency as a plain Graph, without the tree guarantee."""
         return Graph(self.adjacency)
 
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree(v) == 1]
-
 
 def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate an edge list and build a Graph.
@@ -119,8 +116,16 @@ def as_tree(g: Graph) -> Tree:
     return Tree(g.adjacency)
 
 
+def _require_vertices(g: Graph, *vs: int) -> None:
+    """Reject ids outside 0..n-1; a negative one would index from the end."""
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks unreachable vertices."""
+    _require_vertices(g, source)
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
@@ -136,6 +141,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
     """Vertices of the component of t minus edge uv that contains v, sorted."""
+    _require_vertices(t, u, v)
     if not t.has_edge(u, v):
         raise NotAnEdge(f"({u}, {v}) is not an edge")
     # in a tree, u is reachable from v only through the edge uv itself, so

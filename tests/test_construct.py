@@ -48,34 +48,35 @@ from .strategies import random_valid_schedule, trees
 STAR4 = [(0, 1), (0, 2), (0, 3)]
 
 
-def check_separator_cert(t, cert):
-    """Re-derive every certificate condition from first principles."""
-    assert len(cert.neighbors) >= 2
-    assert cert.heavy_index == len(cert.neighbors)
-    assert set(cert.neighbors) == set(t.neighbors(cert.vertex))
-    heavy = cert.neighbors[-1]
-    center_side = t.n - len(component_vertices_beyond(t, cert.vertex, heavy))
-    assert cert.sizes[-1] == center_side
-    assert center_side > cert.threshold
-    for nb, size in zip(cert.neighbors[:-1], cert.sizes[:-1]):
-        assert size == len(component_vertices_beyond(t, cert.vertex, nb))
-        assert size <= cert.threshold
+def check_separator(t, p, sep):
+    """Re-derive every separator condition from first principles, measuring
+    each branch with the independent oracle component_vertices_beyond."""
+    v, heavy, branch = sep
+    assert t.degree(v) >= 2
+    assert heavy in t.neighbors(v)
+    assert branch == component_vertices_beyond(t, v, heavy)
+    assert t.n - len(branch) > p  # v's side across the heavy edge
+    for nb in t.neighbors(v):
+        if nb != heavy:
+            assert len(component_vertices_beyond(t, v, nb)) <= p
 
 
 class TestFindSeparator:
     def test_p5_threshold2(self):
-        cert = find_separator(gen_path(5), 2)
-        assert cert.vertex == 2
-        assert cert.neighbors == (3, 1)
-        assert cert.sizes == (2, 3)
-        check_separator_cert(gen_path(5), cert)
+        t = gen_path(5)
+        sep = find_separator(t, 2)
+        assert sep == (2, 1, [0, 1])
+        assert len(component_vertices_beyond(t, 2, 3)) == 2  # the light branch
+        assert t.n - len(sep[2]) == 3  # v's side
+        check_separator(t, 2, sep)
 
     def test_star_threshold1(self):
         t = as_tree(build_graph(4, STAR4))
-        cert = find_separator(t, 1)
-        assert cert.vertex == 0
-        assert cert.sizes == (1, 1, 3)
-        check_separator_cert(t, cert)
+        sep = find_separator(t, 1)
+        assert sep == (0, 1, [1])
+        assert [len(component_vertices_beyond(t, 0, nb)) for nb in (2, 3)] == [1, 1]
+        assert t.n - len(sep[2]) == 3
+        check_separator(t, 1, sep)
 
     def test_threshold_out_of_range(self):
         with pytest.raises(PreconditionViolated):
@@ -96,8 +97,21 @@ class TestFindSeparator:
             # p in [1, n-1), drawn over half-integers
             steps = 2 * (n - 1) - 2
             p = 1 + Fraction(SplitMix64(8600 + i).below(steps), 2)
-            cert = find_separator(t, p)
-            check_separator_cert(t, cert)
+            check_separator(t, p, find_separator(t, p))
+
+
+@given(trees(min_n=3, max_n=40), st.integers(0, 2**32))
+def test_lowest_leaf_survives_smoothing_the_heavy_branch(base, pick):
+    # whenever construct descends into a smoothed heavy branch, the level's
+    # lowest-id leaf is still the lowest-id leaf one level down
+    t, _ = augment_degree2(base)
+    p = 1 + Fraction(pick % (2 * t.n - 4), 2)  # half-integers in [1, n-1)
+    v, heavy, branch = find_separator(t, p)
+    assume(len(branch) > 1)
+    nbrs = [x for x in t.neighbors(heavy) if x != v]
+    smoothed, to_parent = _smoothed(t, heavy, branch, nbrs)
+    low = next(x for x in range(smoothed.n) if smoothed.degree(x) == 1)
+    assert to_parent[low] == next(x for x in range(t.n) if t.degree(x) == 1)
 
 
 def mapped_edges(tree, to_parent):
@@ -149,6 +163,12 @@ class TestSmooth:
             assert degree2_census(tree)[0] == 0
 
 
+def smoothable_leaves(t):
+    """(u, v) for every leaf v whose neighbor u has degree at least 3."""
+    leaves = [v for v in range(t.n) if t.degree(v) == 1]
+    return [(u, v) for v in leaves for u in t.neighbors(v) if t.degree(u) >= 3]
+
+
 def smoothed_without_leaf(t, u, v):
     """The smoothing of u in t - v, with ids mapped straight to t's, built
     by the helper construct itself runs."""
@@ -162,7 +182,7 @@ def test_derived_trees_equal_their_checked_rebuild(t, pick):
     # path must accept it and give the same sorted adjacency
     internal = [v for v in range(t.n) if t.degree(v) >= 2]
     derived = [augment_degree2(t)[0], smooth(t, internal[pick % len(internal)])[0]]
-    pairs = [(u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3]
+    pairs = smoothable_leaves(t)
     if pairs:  # the smoothing of a subtree, as construct runs it
         derived.append(smoothed_without_leaf(t, *pairs[pick % len(pairs)])[0])
     for x in derived:
@@ -208,7 +228,7 @@ class TestLiftSequence:
 
     @given(trees(min_n=4, max_n=20), st.integers(0, 2**32))
     def test_lift_is_a_burning_sequence_at_most_one_round_longer(self, t, seed):
-        pairs = [(u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3]
+        pairs = smoothable_leaves(t)
         assume(pairs)
         u, v = pairs[seed % len(pairs)]
         tree, to_parent = smoothed_without_leaf(t, u, v)
@@ -227,7 +247,7 @@ class TestLiftSequence:
                 lift_sequence(t, 0, 1, bad, BurningSequence((0, 1)))
         # a source outside the smoothed tree, below or above its ids
         t = gen_random_no_deg2(20, 3)
-        u, v = next((u, v) for v in t.leaves() for u in t.neighbors(v) if t.degree(u) >= 3)
+        u, v = smoothable_leaves(t)[0]
         _, to_parent = smoothed_without_leaf(t, u, v)
         for source in (-1, len(to_parent)):
             with pytest.raises(StructureMismatch):
@@ -293,11 +313,12 @@ class TestConstructNoDeg2:
             t = gen_random_no_deg2(60 + i * 4, 9900 + i)
             m = margin(t.n)
             cert = construct_no_deg2(t, m)
-            sep = find_separator(t, Fraction(4 * cert.target - 3, 2))
-            assert cert.trace[0]["separator"] == sep.vertex
-            for nb in sep.neighbors[:-1]:
-                for v in component_vertices_beyond(t, sep.vertex, nb):
-                    assert cert.labeling.labels[v] <= cert.target
+            v, heavy, _ = find_separator(t, Fraction(4 * cert.target - 3, 2))
+            assert (cert.trace[0]["separator"], cert.trace[0]["heavy"]) == (v, heavy)
+            for nb in t.neighbors(v):
+                if nb != heavy:
+                    for x in component_vertices_beyond(t, v, nb):
+                        assert cert.labeling.labels[x] <= cert.target
 
 
 class TestWorkPerLevel:
@@ -305,7 +326,7 @@ class TestWorkPerLevel:
         self, monkeypatch
     ):
         counts = {"burn": 0, "strict": 0, "connected": 0, "connected_in_burn": 0}
-        counts.update(build_graph=0, as_tree=0)
+        counts.update(build_graph=0, as_tree=0, component_vertices_beyond=0)
         inside = []
         burn, is_connected = engine._burn, Graph.is_connected
 
@@ -334,7 +355,7 @@ class TestWorkPerLevel:
         monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
         # every binding of the checked constructors that construct could reach
         for module in (graphs, exact, construct):
-            for name in ("build_graph", "as_tree"):
+            for name in ("build_graph", "as_tree", "component_vertices_beyond"):
                 fn = counting(name, getattr(graphs, name))
                 monkeypatch.setattr(module, name, fn, raising=False)
         cert = construct_general(t)
@@ -351,6 +372,9 @@ class TestWorkPerLevel:
         # type for connectivity, so no level runs a connectivity pass
         assert counts["build_graph"] == counts["as_tree"] == 0
         assert counts["connected"] == 0
+        # find_separator's rooted pass yields the heavy branch, so no level
+        # walks the tree a second time to collect it
+        assert counts["component_vertices_beyond"] == 0
 
 
 class TestProjectToSubtree:

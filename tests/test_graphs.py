@@ -7,6 +7,7 @@ from treeburn import (
     Tree,
     as_tree,
     augment_degree2,
+    bfs_distances,
     build_graph,
     component_vertices_beyond,
     degree2_census,
@@ -20,6 +21,7 @@ from treeburn import (
     labeled_trees,
     prufer_decode,
     prufer_encode,
+    smooth,
 )
 from treeburn.errors import (
     DuplicateEdge,
@@ -61,6 +63,26 @@ class TestBuildGraph:
             build_graph(3, [(0, 3)])
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [(-1, 0)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: smooth(t, -1),
+        lambda t: smooth(t, t.n),
+        lambda t: component_vertices_beyond(t, -1, 4),
+        lambda t: component_vertices_beyond(t, 4, t.n),
+        lambda t: bfs_distances(t, -1),
+        lambda t: bfs_distances(t.graph, t.n),
+    ],
+    ids=["smooth-neg", "smooth-n", "beyond-neg", "beyond-n", "bfs-neg", "bfs-n"],
+)
+def test_vertex_ids_outside_the_tree_are_rejected(call):
+    # unchecked, a negative id indexes the adjacency from its end, and
+    # smooth(t, -1) would smooth vertex 5 into a 6-vertex "tree" with 7 edges
+    t = as_tree(build_graph(6, [(5, 4), (5, 0), (5, 1), (4, 2), (4, 3)]))
+    with pytest.raises(VertexOutOfRange):
+        call(t)
 
 
 class TestAsTree:
