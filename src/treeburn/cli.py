@@ -189,6 +189,8 @@ def cmd_exact(args) -> int:
         raise ParseError(f"graph order {g.n} exceeds cap {args.cap} (raise with --cap)")
     try:
         res = burning_number(g)
+    except TooLarge:
+        raise  # over the search budget: a usage error, exit 2 from main
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     StructureMismatch,
 )
-from .exact import burning_number
+from .exact import _burning_number_general
 from .graphs import (
     Tree,
     _require_vertices,
@@ -246,7 +246,9 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         }
         rows.append(row)
         if n <= EXACT_FALLBACK_N:
-            seq = burning_number(level).witness  # validated by the search
+            # the general search, not burning_number's tree search: this
+            # witness feeds the lift, and the goldens pin what results
+            seq = _burning_number_general(level).witness
             if len(seq) > target:
                 raise InternalBoundViolation(
                     f"exact solve gave {len(seq)} > target {target}"

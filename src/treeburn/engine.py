@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned
+from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned, VertexOutOfRange
 from .graphs import Graph
 
 # An empty round: the fire only spreads by adjacency.
@@ -86,7 +86,7 @@ def _burn(
         if src is not None:
             if not 0 <= src < n:
                 noun = "source" if strict else "proposal"
-                raise ValueError(f"{noun} {src} is not a vertex")
+                raise VertexOutOfRange(f"{noun} {src} is not a vertex")
             if labels[src] == 0:
                 labels[src] = r
                 newly.append(src)

@@ -46,6 +46,10 @@ class TooLarge(ValueError):
     """Input exceeds the size guard of a brute-force operation."""
 
 
+class SearchBudgetExceeded(TooLarge):
+    """An exact search explored more nodes than its budget allows."""
+
+
 class DegreeTooSmall(ValueError):
     """The vertex to smooth must have degree at least 2."""
 

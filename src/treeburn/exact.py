@@ -1,10 +1,32 @@
 """Exact burning numbers for small graphs.
 
-Two independent routes are kept deliberately separate: burning_number() is a
-pruned depth-first search over the ball-cover view of burning, while
-burning_number_naive() enumerates source sequences outright and judges each
-one purely by simulation.  The naive route is the arbiter in every
-cross-check; the search is never trusted on its own.
+Both searches rest on the ball-cover view of burning (Bonato, Janssen &
+Roshanbin, "How to burn a graph", 2016): b(G) <= k iff balls of radii
+k-1, ..., 0 cover every vertex.  burning_number() sends a connected graph
+with n - 1 edges -- a tree, whatever its type -- to a search built for
+trees, and every other graph to a general pruned search over source
+sequences.  burning_number_naive() enumerates source sequences outright
+and judges each one purely by simulation; it is the arbiter in every
+cross-check, and neither search is ever trusted on its own.
+
+The tree search roots the tree at vertex 0 and numbers the vertices in BFS
+order, so the highest uncovered bit is a deepest uncovered vertex x.  Some
+unused radius r must cover x, and the radius-r ball around x's ancestor at
+distance r (the root if x is shallower) covers every uncovered vertex that
+any radius-r ball through x covers.  So the search branches over at most k
+radii per state, computes each ball once by a bounded BFS, and remembers
+the (uncovered, unused radii) states that failed, across every k from
+ceil_sqrt(diameter + 1) up.  The centres, largest radius first, are burned
+by greedy_schedule and its empty rounds filled with the lowest-id vertex
+each burns.  construct's small-tree fallback keeps the general search
+(_burning_number_general), because its witness feeds the lift and the
+goldens pin the sequences that result.
+
+nodes_explored counts, over every k tried, the balls the tree search
+placed, or the sources the general search placed plus the complete
+sequences it judged.  Burning is NP-hard even on trees (Bessy et al.,
+"Burning a graph is hard", 2017), so a solve that places more than
+NODE_BUDGET balls or sources raises SearchBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -13,12 +35,29 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .engine import BurningSequence, validate_sequence
-from .errors import NotConnected, TooLarge
-from .graphs import Graph, as_tree, bfs_distances, build_graph
+from .bounds import ceil_sqrt
+from .engine import (
+    EMPTY,
+    BurningSequence,
+    _fill_rounds,
+    greedy_schedule,
+    validate_sequence,
+)
+from .errors import (
+    InternalBoundViolation,
+    NotConnected,
+    SearchBudgetExceeded,
+    TooLarge,
+)
+from .graphs import Graph, Tree, as_tree, bfs_distances, build_graph
 
 NAIVE_MAX_N = 12
 SPANNING_MAX_N = 8
+# Nodes one exact solve may explore: 13x the largest count on any input of
+# perfbench's full workloads (230249, the general search on a 37-vertex
+# graph).  At the budget the tree search has run about 1.5 s (Python 3.11 on
+# a 2-vCPU VM) and holds about 200 MB of failed states.
+NODE_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +70,10 @@ class ExactResult:
 def _require_connected(graph: Graph) -> None:
     if graph.n == 0 or not graph.is_connected():
         raise NotConnected("exact solving requires a connected graph")
+
+
+def _over_budget() -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"exact search exceeded its budget of {NODE_BUDGET} nodes")
 
 
 class _Search:
@@ -105,6 +148,8 @@ class _Search:
                 if not ok:
                     continue
                 self.nodes += 1
+                if self.nodes > NODE_BUDGET:
+                    raise _over_budget()
                 chosen.append(v)
                 found = extend(covered | ball_now[i][v], covered_prev | ball_prev[i][v])
                 chosen.pop()
@@ -113,6 +158,108 @@ class _Search:
             return None
 
         return extend(0, 0)
+
+
+class _TreeSearch:
+    """Per-solve state of the tree search, in bit ids: bit i is the i-th
+    vertex in BFS order from vertex 0, so depth never decreases with i."""
+
+    def __init__(self, tree: Tree):
+        adjacency = tree.adjacency
+        order = [0]
+        parent = [-1] * tree.n
+        parent[0] = 0
+        for u in order:
+            for w in adjacency[u]:
+                if parent[w] < 0:
+                    parent[w] = u
+                    order.append(w)
+        bit = [0] * tree.n
+        for i, v in enumerate(order):
+            bit[v] = i
+        self.order = order
+        self.adjacency = [[bit[w] for w in adjacency[v]] for v in order]
+        self.parent = [bit[parent[v]] for v in order]
+        self.depth = [0] * tree.n
+        for i in range(1, tree.n):
+            self.depth[i] = self.depth[self.parent[i]] + 1
+        # order[-1] is farthest from the root, so one end of a diameter
+        self.lower = ceil_sqrt(max(bfs_distances(tree, order[-1])) + 1)
+        # b <= ecc(root) + 1 (burn from the root alone), so the unused radii
+        # of every k tried fit in the low bits of a state key
+        self.shift = self.depth[-1] + 1
+        self._balls: dict[int, int] = {}
+        self.failed: set[int] = set()
+        self.nodes = 0
+
+    def centre(self, x: int, r: int) -> int:
+        """x's ancestor at distance r, or the root if x is shallower."""
+        for _ in range(min(r, self.depth[x])):
+            x = self.parent[x]
+        return x
+
+    def ball(self, x: int, r: int) -> int:
+        """Bitmask of the radius-r ball around centre(x, r)."""
+        key = x * self.shift + r
+        mask = self._balls.get(key)
+        if mask is None:
+            c = self.centre(x, r)
+            mask = 1 << c
+            frontier = [c]
+            for _ in range(r):
+                nxt = []
+                for u in frontier:
+                    for w in self.adjacency[u]:
+                        if not mask >> w & 1:
+                            mask |= 1 << w
+                            nxt.append(w)
+                frontier = nxt
+            self._balls[key] = mask
+        return mask
+
+    def find(self, k: int) -> Optional[dict[int, int]]:
+        """For each radius a cover by balls of radii k-1..0 uses, the
+        deepest uncovered vertex it was placed for; None if none covers."""
+        chosen: dict[int, int] = {}
+        failed, shift, ball = self.failed, self.shift, self.ball
+
+        def cover(uncovered: int, radii: int) -> bool:
+            if not uncovered:
+                return True
+            key = uncovered << shift | radii
+            if key in failed:
+                return False
+            x = uncovered.bit_length() - 1
+            left = radii
+            while left:
+                r = left.bit_length() - 1  # largest unused radius first
+                left ^= 1 << r
+                self.nodes += 1
+                if self.nodes > NODE_BUDGET:
+                    raise _over_budget()
+                if cover(uncovered & ~ball(x, r), radii ^ (1 << r)):
+                    chosen[r] = x
+                    return True
+            failed.add(key)
+            return False
+
+        if cover((1 << len(self.order)) - 1, (1 << k) - 1):
+            return chosen
+        return None
+
+
+def _burning_number_general(g: Graph) -> ExactResult:
+    """burning_number by the general search, whatever the graph's shape."""
+    _require_connected(g)
+    search = _Search(g)  # distances and ball masks shared across all k
+    k = 1
+    while True:
+        found = search.find(k)
+        if found is not None:
+            seq = BurningSequence(found)
+            validate_sequence(g, seq)
+            return ExactResult(k, seq, search.nodes)
+        k += 1
 
 
 def burnable_within(g: Graph, k: int) -> Optional[BurningSequence]:
@@ -130,16 +277,26 @@ def burnable_within(g: Graph, k: int) -> Optional[BurningSequence]:
 
 def burning_number(g: Graph) -> ExactResult:
     """Exact burning number with a validated witness sequence."""
-    _require_connected(g)
-    search = _Search(g)  # distances and ball masks shared across all k
-    k = 1
-    while True:
-        found = search.find(k)
-        if found is not None:
-            seq = BurningSequence(found)
-            validate_sequence(g, seq)
-            return ExactResult(k, seq, search.nodes)
+    if g.edge_count() != g.n - 1:
+        return _burning_number_general(g)
+    t = as_tree(g)  # checks connectivity once; the burns below trust the type
+    search = _TreeSearch(t)
+    k = search.lower
+    while (chosen := search.find(k)) is None:
         k += 1
+    proposals = [EMPTY] * k
+    for r, x in chosen.items():
+        proposals[k - 1 - r] = search.order[search.centre(x, r)]
+    # a centre already burned lies within a larger, earlier ball, so the
+    # greedy burn still covers everything within k rounds
+    kept, labeling = greedy_schedule(t, proposals)
+    seq = BurningSequence(
+        tuple(_fill_rounds(kept, labeling.labels, labeling.total_rounds, range(t.n)))
+    )
+    validate_sequence(t, seq)
+    if len(seq) != k:
+        raise InternalBoundViolation(f"tree search missed a sequence of length {len(seq)}")
+    return ExactResult(k, seq, search.nodes)
 
 
 def burning_number_naive(g: Graph) -> ExactResult:

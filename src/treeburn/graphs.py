@@ -191,6 +191,7 @@ def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, 
     sends new ids back to source ids.  Raises if the induced subgraph is not
     itself a tree (i.e. the vertex set is not connected in t).
     """
+    _require_vertices(t, *vertices)
     vs = sorted(set(vertices))
     local = {x: i for i, x in enumerate(vs)}
     edges = [

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from treeburn import cli
+from treeburn import cli, exact
 from treeburn.cli import main, parse_edge_list, format_edge_list, ParseError
 from treeburn import build_graph
 
@@ -130,6 +130,14 @@ class TestExact:
         code, _, err = run(["exact", str(tree), "--cap", "5"], capsys)
         assert code == 2
         assert "cap" in err
+
+    def test_search_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "NODE_BUDGET", 2)
+        tree = tmp_path / "p9.txt"
+        tree.write_text("9\n" + "\n".join(f"{i} {i+1}" for i in range(8)) + "\n")
+        code, out, err = run(["exact", str(tree)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err
 
 
 class TestBounds:

@@ -13,7 +13,12 @@ from treeburn import (
     simulate,
     validate_sequence,
 )
-from treeburn.errors import LengthMismatch, NotConnected, SourceAlreadyBurned
+from treeburn.errors import (
+    LengthMismatch,
+    NotConnected,
+    SourceAlreadyBurned,
+    VertexOutOfRange,
+)
 
 from .strategies import random_valid_schedule, trees
 
@@ -125,6 +130,21 @@ class TestCanonicalize:
         seq = canonicalize(gen_path(9), (4,))
         assert len(seq) == 5
         assert seq.sources[0] == 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: simulate(g, (-1,)),
+        lambda g: greedy_schedule(g, (0, -1)),
+        lambda g: validate_sequence(g, BurningSequence((0, g.n))),
+        lambda g: canonicalize(g, (0, EMPTY, -1)),
+    ],
+    ids=["simulate", "greedy_schedule", "validate_sequence", "canonicalize"],
+)
+def test_source_ids_outside_the_graph_are_rejected(call):
+    with pytest.raises(VertexOutOfRange, match="is not a vertex"):
+        call(gen_path(6))
 
 
 class TestGreedySchedule:

@@ -8,13 +8,18 @@ from treeburn import (
     ceil_sqrt,
     gen_cycle,
     gen_double_star,
+    gen_full_binary,
     gen_path,
+    gen_random_no_deg2,
     gen_random_tree,
     induced_subtree,
+    labeled_trees,
     spanning_tree_min,
     validate_sequence,
 )
-from treeburn.errors import NotConnected, TooLarge
+from treeburn import exact
+from treeburn.errors import NotConnected, SearchBudgetExceeded, TooLarge
+from treeburn.exact import _burning_number_general
 from treeburn.rng import SplitMix64
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -86,29 +91,106 @@ class TestBurningNumberNaive:
             burning_number_naive(gen_path(13))
 
     def test_agrees_with_search_on_seeded_trees(self):
+        # construct's small-tree fallback runs the general search, so it
+        # keeps its own check against the enumerator on trees
         for i in range(40):
             t = gen_random_tree(5 + (i % 5), 900 + i)
-            assert (
-                burning_number(t).burning_number
-                == burning_number_naive(t).burning_number
-            )
+            naive = burning_number_naive(t).burning_number
+            assert burning_number(t).burning_number == naive
+            assert _burning_number_general(t).burning_number == naive
 
     def test_agrees_with_search_on_seeded_graphs(self):
-        # random trees plus extra chords: connected graphs with cycles
-        for i in range(40):
-            n = 5 + (i % 4)
-            t = gen_random_tree(n, 2300 + i)
-            rng = SplitMix64(2700 + i)
-            edges = set(t.edges())
-            for _ in range(1 + rng.below(3)):
-                u, v = rng.below(n), rng.below(n)
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
-            g = build_graph(n, sorted(edges))
+        for g in _trees_plus_chords(40):
             assert (
                 burning_number(g).burning_number
                 == burning_number_naive(g).burning_number
             )
+
+
+def _trees_plus_chords(count: int):
+    """Seeded random trees of order 5-8 plus 1-3 chords: connected graphs
+    with cycles."""
+    for i in range(count):
+        n = 5 + (i % 4)
+        t = gen_random_tree(n, 2300 + i)
+        rng = SplitMix64(2700 + i)
+        edges = set(t.edges())
+        for _ in range(1 + rng.below(3)):
+            u, v = rng.below(n), rng.below(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        yield build_graph(n, sorted(edges))
+
+
+def _tree_corpus():
+    """Seeded random, no-deg2, path, full-binary and double-star trees of
+    order up to 40."""
+    for i in range(120):
+        yield gen_random_tree(2 + i % 39, 11_000 + i)
+    for i in range(40):
+        yield gen_random_no_deg2(2 + i % 19, 12_000 + i)
+    for n in range(1, 41):
+        yield gen_path(n)
+    for height in range(5):
+        yield gen_full_binary(height)
+    for a in range(8):
+        for b in range(a, 8):
+            yield gen_double_star(a, b)
+
+
+class TestTreeSearch:
+    def test_agrees_with_general_search(self):
+        for t in _tree_corpus():
+            res = burning_number(t)
+            assert res.burning_number == _burning_number_general(t).burning_number
+            assert validate_sequence(t, res.witness).total_rounds == res.burning_number
+
+    def test_agrees_with_general_search_on_every_labeled_tree(self):
+        # acceptance test 08 checks burning_number against the enumerator
+        # on the same trees
+        for n in range(1, 8):
+            for t in labeled_trees(n):
+                assert (
+                    burning_number(t).burning_number
+                    == _burning_number_general(t).burning_number
+                )
+
+    def test_bare_graph_and_tree_give_the_same_result(self):
+        # the benchmark and the CLI hand over a bare Graph
+        for i, t in enumerate(_tree_corpus()):
+            if i % 3 == 0:
+                assert burning_number(t.graph) == burning_number(t)
+
+    def test_only_trees_reach_the_tree_search(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("wrong search")
+
+        monkeypatch.setattr(exact, "_TreeSearch", refuse)
+        chorded = [g for g in _trees_plus_chords(20) if g.edge_count() >= g.n]
+        assert len(chorded) >= 10
+        for g in [gen_cycle(n) for n in range(3, 12)] + chorded:
+            assert burning_number(g) == _burning_number_general(g)
+        monkeypatch.undo()
+        monkeypatch.setattr(exact, "_Search", refuse)
+        for i in range(20):
+            t = gen_random_tree(2 + i, 13_000 + i)
+            burning_number(t.graph)
+
+    def test_long_path_is_solved_at_its_lower_bound(self):
+        res = burning_number(gen_path(400))
+        assert res.burning_number == ceil_sqrt(400) == len(res.witness)
+
+
+class TestNodeBudget:
+    def test_tree_search(self, monkeypatch):
+        monkeypatch.setattr(exact, "NODE_BUDGET", 10)
+        with pytest.raises(SearchBudgetExceeded):
+            burning_number(gen_path(400))
+
+    def test_general_search(self, monkeypatch):
+        monkeypatch.setattr(exact, "NODE_BUDGET", 10)
+        with pytest.raises(SearchBudgetExceeded):
+            burning_number(gen_cycle(12))
 
 
 class TestSpanningTreeMin:

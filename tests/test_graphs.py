@@ -74,8 +74,13 @@ class TestBuildGraph:
         lambda t: component_vertices_beyond(t, 4, t.n),
         lambda t: bfs_distances(t, -1),
         lambda t: bfs_distances(t.graph, t.n),
+        lambda t: induced_subtree(t, [-1, 5, 0]),
+        lambda t: induced_subtree(t, [5, t.n]),
     ],
-    ids=["smooth-neg", "smooth-n", "beyond-neg", "beyond-n", "bfs-neg", "bfs-n"],
+    ids=[
+        "smooth-neg", "smooth-n", "beyond-neg", "beyond-n", "bfs-neg", "bfs-n",
+        "induced-neg", "induced-n",
+    ],
 )
 def test_vertex_ids_outside_the_tree_are_rejected(call):
     # unchecked, a negative id indexes the adjacency from its end, and
