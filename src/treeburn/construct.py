@@ -10,22 +10,29 @@ projected back.  Lifting and projection are one transport step: map the
 sources, burn greedily, fill the empty rounds canonically and check a
 length bound (one round more for a lift, none for a projection).
 
+Every level lives in one mutable working tree in the grafted tree's ids:
+going down, a level edits O(deg) adjacency entries and logs their former
+lists; going up, the log restores each level before its burn.
+find_separator, smooth and lift_sequence are the per-level steps on a
+Tree of their own, kept as test oracles.
+
 Every certificate is validated by simulation, once, before it is returned;
 a violated length bound raises InternalBoundViolation, never a wrong answer.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
 from .engine import (
     BurningSequence,
     RoundLabeling,
+    _burn,
     _fill_rounds,
-    greedy_schedule,
     validate_sequence,
 )
 from .errors import (
@@ -79,6 +86,9 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> tuple[int, int, list[int
     always the parent, so the light branches are child subtrees and the
     heavy branch is everything outside v's subtree.  v's subtree has more
     than p vertices and shrinks strictly at every step, so the walk ends.
+
+    A test oracle: construct walks the same way on its working tree, whose
+    subtree sizes it keeps up to date instead of recomputing them.
     """
     if isinstance(p, float):
         raise TypeError("p must be an exact rational, not a float")
@@ -117,32 +127,6 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> tuple[int, int, list[int
     return v, parent[v], sorted(order[:lo] + order[lo + size[v]:])
 
 
-def _smoothed(
-    t: Tree, w: int, vertices: Sequence[int], nbrs: Sequence[int]
-) -> tuple[Tree, list[int]]:
-    """Smooth w inside the subtree of t induced by vertices (ascending), in
-    which w's neighbors are nbrs (ascending).  Returns the smoothed tree and
-    its map to t's ids; the other vertices keep their degree from t.
-
-    Smoothing keeps a tree a tree, so the result is built straight from t's
-    adjacency: the relabeling is monotone, which keeps every filtered
-    neighbor list sorted, and only the stitched path's ends need a re-sort.
-    """
-    leaf_nbrs = [x for x in nbrs if t.degree(x) == 1]
-    other_nbrs = [x for x in nbrs if t.degree(x) > 1]
-    path = leaf_nbrs[:1] + other_nbrs + leaf_nbrs[1:2]
-    removed = {w, *leaf_nbrs[2:]}
-    kept = [x for x in vertices if x not in removed]
-    local = {x: i for i, x in enumerate(kept)}
-    adj = [[local[b] for b in t.neighbors(a) if b in local] for a in kept]
-    for a, b in zip(path, path[1:]):
-        adj[local[a]].append(local[b])
-        adj[local[b]].append(local[a])
-    for x in path:
-        adj[local[x]].sort()
-    return Tree(tuple(map(tuple, adj))), kept
-
-
 def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     """Delete w (degree q >= 2) and stitch its neighbors into a path.
 
@@ -153,32 +137,60 @@ def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     free of degree-2 vertices whenever w was the only one in t.  Returns the
     smoothed tree and its map to t's ids (ascending); the removed vertices
     are the ones the map misses.
+
+    A test oracle: construct smooths in place on its working tree.  Smoothing
+    keeps a tree a tree, so the result is built straight from t's adjacency:
+    the relabeling is monotone, which keeps every filtered neighbor list
+    sorted, and only the stitched path's ends need a re-sort.
     """
     _require_vertices(t, w)
     q = t.degree(w)
     if q < 2:
         raise DegreeTooSmall(f"vertex {w} has degree {q}")
-    return _smoothed(t, w, range(t.n), t.neighbors(w))
+    nbrs = t.neighbors(w)
+    leaf_nbrs = [x for x in nbrs if t.degree(x) == 1]
+    other_nbrs = [x for x in nbrs if t.degree(x) > 1]
+    path = leaf_nbrs[:1] + other_nbrs + leaf_nbrs[1:2]
+    removed = {w, *leaf_nbrs[2:]}
+    kept = [x for x in range(t.n) if x not in removed]
+    local = {x: i for i, x in enumerate(kept)}
+    adj = [[local[b] for b in t.neighbors(a) if b in local] for a in kept]
+    for a, b in zip(path, path[1:]):
+        adj[local[a]].append(local[b])
+        adj[local[b]].append(local[a])
+    for x in path:
+        adj[local[x]].sort()
+    return Tree(tuple(map(tuple, adj))), kept
 
 
 def _transport(
-    t: Tree, proposals: Sequence[int], part: Sequence[int], bound: int
-) -> tuple[BurningSequence, RoundLabeling]:
-    """The greedy burn of proposals on t, canonicalized, and its labeling.
+    adjacency: Sequence[Sequence[int]],
+    count: int,
+    proposals: Sequence[int],
+    bound: int,
+    light: Optional[Sequence[int]] = None,
+    level: int = 0,
+) -> tuple[BurningSequence, int]:
+    """The greedy burn of proposals over the count vertices adjacency
+    connects them to, canonicalized, and its round count.
 
-    part must burn within bound rounds.  Each empty round gets the lowest-id
-    vertex burning in it: from part up to the round that burns the last of
-    part, from all of t after that."""
-    rounds, labeling = greedy_schedule(t, proposals)
-    labels = labeling.labels
-    part_rounds = max(labels[x] for x in part)
+    The part -- every burned vertex but the light ones, those x with
+    light[x] == level -- must burn within bound rounds.  Each empty round
+    gets the lowest-id vertex burning in it: from the part up to the round
+    that burns the last of the part, from every burned vertex after that."""
+    kept, _, layers = _burn(adjacency, count, proposals, False)
+    part_rounds = len(layers)
+    if light is not None:
+        while all(light[x] == level for x in layers[part_rounds - 1]):
+            part_rounds -= 1
+        for r in range(part_rounds):
+            if kept[r] is None:
+                kept[r] = min(x for x in layers[r] if light[x] != level)
     if part_rounds > bound:
         raise InternalBoundViolation(
             f"transport took {part_rounds} rounds, bound {bound}"
         )
-    filled = _fill_rounds(rounds, labels, part_rounds, part)
-    filled = _fill_rounds(filled, labels, labeling.total_rounds, range(t.n))
-    return BurningSequence(tuple(filled)), labeling
+    return BurningSequence(tuple(_fill_rounds(kept, layers))), len(layers)
 
 
 def lift_sequence(
@@ -190,7 +202,8 @@ def lift_sequence(
     to_parent maps the smoothed tree's ids to t's; u, v and the surplus
     leaves are the vertices it misses.  The leaf ignites in round 1; each
     original source follows one round late; if the fire reached it first,
-    its round gets the lowest-id vertex burning in it instead.
+    its round gets the lowest-id vertex burning in it instead.  A test
+    oracle: construct lifts inside its own level burns.
     """
     if not (0 <= v < t.n and 0 <= u < t.n):
         raise StructureMismatch("u and v must be vertices of t")
@@ -205,7 +218,130 @@ def lift_sequence(
         raise StructureMismatch("sources must be vertices of the smoothed tree")
 
     proposals = [v] + [to_parent[s] for s in seq_prime.sources]
-    return _transport(t, proposals, range(t.n), len(seq_prime) + 1)[0]
+    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)[0]
+
+
+class _WorkingTree:
+    """One mutable tree in the ids of the tree construct_no_deg2 is given.
+
+    Every relabeling of the per-level construction is monotone, so a level's
+    tree can live in the input's ids: its vertices are the alive ones, its
+    ids their ranks among them.  The tree stays rooted at its lowest-id
+    leaf, which no level removes (smoothing keeps the two lowest leaf
+    neighbors as path ends), so parent and subtree size are kept up to date
+    instead of recomputed.  Removed vertices stay in adj, cut off from the
+    root: the current level is the root's component.  A Fenwick tree over
+    the alive flags gives ranks in O(log n), and light[x] is the level on
+    whose light side x lies (-1 if none).
+    """
+
+    def __init__(self, t: Tree):
+        n = t.n
+        adj = [list(a) for a in t.adjacency]
+        root = next((x for x in range(n) if len(adj[x]) == 1), 0)
+        parent = [-1] * n
+        order = [root]
+        for u in order:
+            for x in adj[u]:
+                if x != parent[u]:
+                    parent[x] = u
+                    order.append(x)
+        size = [1] * n
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        self.adj, self.root, self.parent, self.size = adj, root, parent, size
+        self.fenwick = [i & -i for i in range(n + 1)]
+        self.light = [-1] * n
+
+    def rank(self, x: int) -> int:
+        """The number of alive vertices with a lower id than x."""
+        fenwick, total = self.fenwick, 0
+        while x:
+            total += fenwick[x]
+            x &= x - 1
+        return total
+
+    def _remove(self, xs: Sequence[int]) -> None:
+        fenwick = self.fenwick
+        end = len(fenwick)
+        for x in xs:
+            i = x + 1
+            while i < end:
+                fenwick[i] -= 1
+                i += i & -i
+
+    def subtree(self, v: int) -> list[int]:
+        """v and its descendants, v first."""
+        adj, parent = self.adj, self.parent
+        below = [v]
+        for x in below:
+            up = parent[x]
+            below += [y for y in adj[x] if y != up]
+        return below
+
+    def separator(self, p: int) -> int:
+        """find_separator's v for threshold p + 1/2: from the root's
+        neighbor, step into the first child (ascending id) whose subtree has
+        more than p vertices while there is one."""
+        adj, parent, size = self.adj, self.parent, self.size
+        v = adj[self.root][0]
+        while True:
+            pv = parent[v]
+            for u in adj[v]:
+                if u != pv and size[u] > p:
+                    v = u
+                    break
+            else:
+                return v
+
+    def cut(self, v: int, level: int) -> None:
+        """Remove v's subtree, marking all of it but v light at level."""
+        below = self.subtree(v)
+        for x in below[1:]:
+            self.light[x] = level
+        self._remove(below)
+
+    def smooth(self, v: int, level: int) -> list[tuple[int, list[int]]]:
+        """Descend from the level's tree into its smoothed heavy branch:
+        cut v's subtree and smooth its parent w away, as smooth(t, w) would
+        in the branch.  Returns the undo log, each touched vertex with its
+        former neighbor list."""
+        adj, parent, size = self.adj, self.parent, self.size
+        w = parent[v]
+        nbrs = [x for x in adj[w] if x != v]
+        leaf_nbrs = [x for x in nbrs if len(adj[x]) == 1]
+        path = leaf_nbrs[:1] + [x for x in nbrs if len(adj[x]) > 1] + leaf_nbrs[1:2]
+        undo = []
+        for x in adj[w]:  # unlink w: v's subtree and the surplus leaves fall away
+            undo.append((x, adj[x]))
+            adj[x] = [y for y in adj[x] if y != w]
+        for a, b in zip(path, path[1:]):
+            insort(adj[a], b)
+            insort(adj[b], a)
+        # the path hangs from w's parent, one arm on either side of it
+        pw = parent[w]
+        i = path.index(pw)
+        for arm in (path[i + 1:], path[:i][::-1]):
+            up = pw
+            for x in arm:
+                parent[x] = up
+                up = x
+            below = 0
+            for x in reversed(arm):
+                size[x] += below
+                below = size[x]
+        removed = 1 + size[v] + len(leaf_nbrs[2:])
+        x = pw
+        while x != -1:
+            size[x] -= removed
+            x = parent[x]
+        self.cut(v, level)
+        self._remove([w, *leaf_nbrs[2:]])
+        return undo
+
+    def restore(self, undo: list[tuple[int, list[int]]]) -> None:
+        for x, nbrs in undo:
+            self.adj[x] = nbrs
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
@@ -214,10 +350,12 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
 
     One loop over levels: small trees are solved exactly; otherwise a
     separator confines the work to its heavy branch, whose root is smoothed
-    away before descending into it with a reduced margin (a one-leaf branch
-    is burned by (0,)).  The innermost sequence is then lifted back up level
-    by level while the light branches burn by propagation.  Preconditions and
-    the final sequence are checked once, on t; levels check only lengths.
+    away before descending into it with a reduced margin (a one-vertex
+    branch is burned by that vertex alone).  The innermost sequence is then
+    lifted back up level by level while the light branches burn by
+    propagation.  Preconditions and the final sequence are checked once, on
+    t; levels check only lengths.  Every level is a state of one
+    _WorkingTree, in t's ids.
     """
     count2, listing = degree2_census(t)
     if count2:
@@ -229,11 +367,11 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
             f"order {t.n} below m*(m+1)+1 = {m * (m + 1) + 1} for margin {m}"
         )
 
+    work = _WorkingTree(t)
     rows: list[dict] = []
-    frames = []  # (level tree, v, to_parent, branch + [v], row), outermost first
-    level, level_m = t, m
+    frames = []  # (level, v, undo log, order, row), outermost first
+    n, level_m = t.n, m
     while True:
-        n = level.n
         target = ceil_sqrt(n - level_m)
         row = {
             "step": "exact",
@@ -248,11 +386,15 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         if n <= EXACT_FALLBACK_N:
             # the general search, not burning_number's tree search: this
             # witness feeds the lift, and the goldens pin what results
-            seq = _burning_number_general(level).witness
-            if len(seq) > target:
+            alive = sorted(work.subtree(work.root))
+            local = {x: i for i, x in enumerate(alive)}
+            small = Tree(tuple(tuple(local[y] for y in work.adj[x]) for x in alive))
+            witness = _burning_number_general(small).witness
+            if len(witness) > target:
                 raise InternalBoundViolation(
-                    f"exact solve gave {len(seq)} > target {target}"
+                    f"exact solve gave {len(witness)} > target {target}"
                 )
+            seq = BurningSequence(tuple(alive[s] for s in witness.sources))
             row["length"] = len(seq)
             break
 
@@ -263,32 +405,40 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
             m_eff = 0
             if ceil_sqrt(n) != target:
                 raise InternalBoundViolation("margin drop changed the target")
-        p = Fraction(4 * target - 3, 2)  # 2*target - 3/2
-        v, heavy, branch = find_separator(level, p)
-        row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
-        if len(branch) == 1:
+        # a subtree exceeds find_separator's p = 2*target - 3/2 iff it
+        # exceeds 2*target - 2
+        v = work.separator(2 * target - 2)
+        heavy = work.parent[v]
+        row.update(
+            separator=work.rank(v), heavy=work.rank(heavy), drop_margin=m_eff != level_m
+        )
+        level = len(frames)
+        if n - work.size[v] == 1:  # the heavy branch is the root alone
             row["step"] = "pendant"
-            frames.append((level, v, branch, branch + [v], row))
-            seq = BurningSequence((0,))
+            work.cut(v, level)
+            frames.append((level, v, [], n, row))
+            seq = BurningSequence((heavy,))
             break
         row["step"] = "smooth"
-        nbrs = [x for x in level.neighbors(heavy) if x != v]
-        smoothed, to_parent = _smoothed(level, heavy, branch, nbrs)
-        frames.append((level, v, to_parent, branch + [v], row))
-        level = smoothed
-        level_m = m_eff - 1 if m_eff >= 1 and level.n > m_eff * m_eff else 0
+        frames.append((level, v, work.smooth(v, level), n, row))
+        n = work.size[work.root]
+        level_m = m_eff - 1 if m_eff >= 1 and n > m_eff * m_eff else 0
 
-    for level, v, to_parent, part, row in reversed(frames):
+    for level, v, undo, n, row in reversed(frames):
+        work.restore(undo)
         target = row["target"]
         if len(seq) > target - 1:
             raise InternalBoundViolation(
                 f"branch sequence length {len(seq)} > {target - 1}"
             )
-        proposals = [v] + [to_parent[s] for s in seq.sources]
-        seq, labeling = _transport(level, proposals, part, len(seq) + 1)
-        if labeling.total_rounds > target:
+        # the heavy branch plus v meets the light side only at v, which
+        # burns in round 1, so the branch's sequence lifts one round late
+        seq, total_rounds = _transport(
+            work.adj, n, [v, *seq.sources], len(seq) + 1, work.light, level
+        )
+        if total_rounds > target:
             raise InternalBoundViolation(
-                f"assembled process took {labeling.total_rounds} rounds, target {target}"
+                f"assembled process took {total_rounds} rounds, target {target}"
             )
         row["length"] = len(seq)
 
@@ -311,7 +461,7 @@ def project_to_subtree(
     proposals = [attach.get(y, y) for y in seq.sources]
     if not all(0 <= x < t.n for x in proposals):
         raise StructureMismatch("a source is neither a vertex of t nor a grafted leaf")
-    return _transport(t, proposals, range(t.n), len(seq))[0]
+    return _transport(t.adjacency, t.n, proposals, len(seq))[0]
 
 
 def construct_general(t: Tree) -> BoundCertificate:

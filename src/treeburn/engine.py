@@ -13,7 +13,7 @@ source), and round 1 must name a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned, VertexOutOfRange
 from .graphs import Graph
@@ -51,37 +51,43 @@ class RoundLabeling:
 
 
 def _burn(
-    g: Graph, rounds: Sequence[Optional[int]], strict: bool
-) -> tuple[list[Optional[int]], RoundLabeling]:
-    """The round loop shared by simulate and greedy_schedule.
+    adjacency: Sequence[Sequence[int]],
+    count: int,
+    rounds: Sequence[Optional[int]],
+    strict: bool,
+) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
+    """The round loop shared by simulate, greedy_schedule and construct's
+    level burns: run the process on adjacency until count vertices burn.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise.  Returns the
-    per-round sources actually used, up to the round the process ends in.
+    per-round sources actually used, up to the round the process ends in,
+    every vertex's round (0 for one that never burned) and the vertices
+    each round burned.
 
-    Only a bare Graph gets a connectivity pass: Tree.is_connected trusts
-    the type.  On a connected graph every round burns some vertex until the
-    last, so a round that burns none raises NotConnected; a Tree built
-    around a disconnected adjacency therefore cannot loop forever.
+    count is the order of a connected graph, or the order of the component
+    the sources lie in (construct burns one level's tree inside a larger
+    adjacency).  Every round burns some vertex until the last, so a round
+    that burns none raises NotConnected instead of looping forever.
     """
-    n = g.n
-    if n == 0 or not g.is_connected():
-        raise NotConnected("burning is defined on connected graphs")
+    n = len(adjacency)
     if not rounds or rounds[0] is None:
         raise ValueError("round 1 needs a concrete source")
     labels = [0] * n
     frontier: list[int] = []
+    layers: list[list[int]] = []
     burned_count = 0
     kept: list[Optional[int]] = []
     r = 0
-    while burned_count < n:
+    while burned_count < count:
         r += 1
-        newly = []
+        newly: list[int] = []
+        burn = newly.append
         for u in frontier:
-            for w in g.adjacency[u]:
-                if labels[w] == 0:
+            for w in adjacency[u]:
+                if not labels[w]:
                     labels[w] = r
-                    newly.append(w)
+                    burn(w)
         src = rounds[r - 1] if r <= len(rounds) else EMPTY
         if src is not None:
             if not 0 <= src < n:
@@ -97,9 +103,27 @@ def _burn(
         if not newly:
             raise NotConnected(f"round {r} burns nothing: the graph is not connected")
         kept.append(src)
+        layers.append(newly)
         burned_count += len(newly)
         frontier = newly
-    return kept, RoundLabeling(tuple(labels), r)
+    return kept, labels, layers
+
+
+def _burn_graph(
+    g: Graph, rounds: Sequence[Optional[int]], strict: bool
+) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
+    """_burn over all of g.  Only a bare Graph gets a connectivity pass:
+    Tree.is_connected trusts the type.  When strict, a source scheduled
+    after the process has terminated raises SourceAlreadyBurned too."""
+    if g.n == 0 or not g.is_connected():
+        raise NotConnected("burning is defined on connected graphs")
+    kept, labels, layers = _burn(g.adjacency, g.n, rounds, strict)
+    if strict:
+        # Sources scheduled after termination can never be unburned.
+        for later in range(len(layers), len(rounds)):
+            if rounds[later] is not None:
+                raise SourceAlreadyBurned(later + 1, rounds[later])
+    return kept, labels, layers
 
 
 def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:
@@ -110,12 +134,8 @@ def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:
     burned at the start of its round -- including any source scheduled after
     the process has already terminated.
     """
-    _, labeling = _burn(g, rounds, strict=True)
-    # Sources scheduled after termination can never be unburned.
-    for later in range(labeling.total_rounds, len(rounds)):
-        if rounds[later] is not None:
-            raise SourceAlreadyBurned(later + 1, rounds[later])
-    return labeling
+    _, labels, layers = _burn_graph(g, rounds, strict=True)
+    return RoundLabeling(tuple(labels), len(layers))
 
 
 def validate_sequence(g: Graph, seq: BurningSequence) -> RoundLabeling:
@@ -138,33 +158,19 @@ def greedy_schedule(
     transformed tree back to the original: stale sources drop out silently
     instead of invalidating the schedule.
     """
-    kept, labeling = _burn(g, proposals, strict=False)
-    return tuple(kept), labeling
+    kept, labels, layers = _burn_graph(g, proposals, strict=False)
+    return tuple(kept), RoundLabeling(tuple(labels), len(layers))
 
 
 def _fill_rounds(
-    rounds: Sequence[Optional[int]],
-    labels: Sequence[int],
-    upto: int,
-    vertices: Iterable[int],
+    kept: Sequence[Optional[int]], layers: Sequence[Sequence[int]]
 ) -> list[int]:
-    """Rounds 1..upto of rounds, each empty one (or one past the end) filled
-    with the lowest-id vertex among `vertices` whose label is that round."""
-    lowest: dict[int, int] = {}
-    for v in vertices:
-        r = labels[v]
-        if r <= upto and (r not in lowest or v < lowest[r]):
-            lowest[r] = v
-    sources = []
-    for r in range(1, upto + 1):
-        given = rounds[r - 1] if r <= len(rounds) else EMPTY
-        sources.append(given if given is not None else lowest[r])
-    return sources
+    """kept with each empty round filled by the lowest-id vertex it burned."""
+    return [s if s is not None else min(layer) for s, layer in zip(kept, layers)]
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process."""
-    labeling = simulate(g, rounds)
-    filled = _fill_rounds(rounds, labeling.labels, labeling.total_rounds, range(g.n))
-    return BurningSequence(tuple(filled))
+    kept, _, layers = _burn_graph(g, rounds, strict=True)
+    return BurningSequence(tuple(_fill_rounds(kept, layers)))

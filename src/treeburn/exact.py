@@ -17,8 +17,8 @@ any radius-r ball through x covers.  So the search branches over at most k
 radii per state, computes each ball once by a bounded BFS, and remembers
 the (uncovered, unused radii) states that failed, across every k from
 ceil_sqrt(diameter + 1) up.  The centres, largest radius first, are burned
-by greedy_schedule and its empty rounds filled with the lowest-id vertex
-each burns.  construct's small-tree fallback keeps the general search
+greedily (a centre the fire beat drops out) and the empty rounds filled
+with the lowest-id vertex each burns.  construct's small-tree fallback keeps the general search
 (_burning_number_general), because its witness feeds the lift and the
 goldens pin the sequences that result.
 
@@ -39,8 +39,8 @@ from .bounds import ceil_sqrt
 from .engine import (
     EMPTY,
     BurningSequence,
+    _burn_graph,
     _fill_rounds,
-    greedy_schedule,
     validate_sequence,
 )
 from .errors import (
@@ -289,10 +289,8 @@ def burning_number(g: Graph) -> ExactResult:
         proposals[k - 1 - r] = search.order[search.centre(x, r)]
     # a centre already burned lies within a larger, earlier ball, so the
     # greedy burn still covers everything within k rounds
-    kept, labeling = greedy_schedule(t, proposals)
-    seq = BurningSequence(
-        tuple(_fill_rounds(kept, labeling.labels, labeling.total_rounds, range(t.n)))
-    )
+    kept, _, layers = _burn_graph(t, proposals, strict=False)
+    seq = BurningSequence(tuple(_fill_rounds(kept, layers)))
     validate_sequence(t, seq)
     if len(seq) != k:
         raise InternalBoundViolation(f"tree search missed a sequence of length {len(seq)}")

@@ -79,7 +79,8 @@ class Tree(Graph):
 
     @property
     def graph(self) -> Graph:
-        """The same adjacency as a plain Graph, without the tree guarantee."""
+        """The same adjacency as a plain Graph, without the tree guarantee:
+        a test oracle, for running the bare-Graph code paths on a tree."""
         return Graph(self.adjacency)
 
 
@@ -140,7 +141,8 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
-    """Vertices of the component of t minus edge uv that contains v, sorted."""
+    """Vertices of the component of t minus edge uv that contains v, sorted.
+    A test oracle for the branches construct measures by subtree sizes."""
     _require_vertices(t, u, v)
     if not t.has_edge(u, v):
         raise NotAnEdge(f"({u}, {v}) is not an edge")
@@ -189,7 +191,8 @@ def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, 
 
     New ids follow the sorted order of the given vertices; the returned map
     sends new ids back to source ids.  Raises if the induced subgraph is not
-    itself a tree (i.e. the vertex set is not connected in t).
+    itself a tree (i.e. the vertex set is not connected in t).  A test
+    oracle: construct keeps its levels inside one working tree.
     """
     _require_vertices(t, *vertices)
     vs = sorted(set(vertices))

@@ -1,6 +1,7 @@
 import inspect
 import sys
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,15 +28,16 @@ from treeburn import (
     gen_random_tree,
     greedy_schedule,
     induced_subtree,
+    labeled_trees,
     lift_sequence,
     project_to_subtree,
+    prufer_decode,
     refined_bound,
     smooth,
     validate_sequence,
 )
-from treeburn import construct, engine, exact, graphs
+from treeburn import Tree, construct, engine, exact, graphs
 from treeburn.bounds import margin
-from treeburn.construct import _smoothed
 from treeburn.errors import (
     DegreeTooSmall,
     PreconditionViolated,
@@ -43,6 +45,7 @@ from treeburn.errors import (
 )
 from treeburn.rng import SplitMix64
 
+from .reference_construct import reference_construct_no_deg2
 from .strategies import random_valid_schedule, trees
 
 STAR4 = [(0, 1), (0, 2), (0, 3)]
@@ -108,10 +111,10 @@ def test_lowest_leaf_survives_smoothing_the_heavy_branch(base, pick):
     p = 1 + Fraction(pick % (2 * t.n - 4), 2)  # half-integers in [1, n-1)
     v, heavy, branch = find_separator(t, p)
     assume(len(branch) > 1)
-    nbrs = [x for x in t.neighbors(heavy) if x != v]
-    smoothed, to_parent = _smoothed(t, heavy, branch, nbrs)
+    sub, to_t = induced_subtree(t, branch)
+    smoothed, to_sub = smooth(sub, to_t.index(heavy))
     low = next(x for x in range(smoothed.n) if smoothed.degree(x) == 1)
-    assert to_parent[low] == next(x for x in range(t.n) if t.degree(x) == 1)
+    assert to_t[to_sub[low]] == next(x for x in range(t.n) if t.degree(x) == 1)
 
 
 def mapped_edges(tree, to_parent):
@@ -170,10 +173,10 @@ def smoothable_leaves(t):
 
 
 def smoothed_without_leaf(t, u, v):
-    """The smoothing of u in t - v, with ids mapped straight to t's, built
-    by the helper construct itself runs."""
-    rest = [x for x in range(t.n) if x != v]
-    return _smoothed(t, u, rest, [x for x in t.neighbors(u) if x != v])
+    """The smoothing of u in t - v, with ids mapped straight to t's."""
+    sub, to_t = induced_subtree(t, [x for x in range(t.n) if x != v])
+    tree, to_sub = smooth(sub, to_t.index(u))
+    return tree, [to_t[x] for x in to_sub]
 
 
 @given(trees(min_n=3), st.integers(0, 2**32))
@@ -183,7 +186,7 @@ def test_derived_trees_equal_their_checked_rebuild(t, pick):
     internal = [v for v in range(t.n) if t.degree(v) >= 2]
     derived = [augment_degree2(t)[0], smooth(t, internal[pick % len(internal)])[0]]
     pairs = smoothable_leaves(t)
-    if pairs:  # the smoothing of a subtree, as construct runs it
+    if pairs:  # the smoothing of a subtree, as lift_sequence takes it
         derived.append(smoothed_without_leaf(t, *pairs[pick % len(pairs)])[0])
     for x in derived:
         assert as_tree(build_graph(x.n, x.edges())).adjacency == x.adjacency
@@ -327,21 +330,27 @@ class TestWorkPerLevel:
     ):
         counts = {"burn": 0, "strict": 0, "connected": 0, "connected_in_burn": 0}
         counts.update(build_graph=0, as_tree=0, component_vertices_beyond=0)
+        counts.update(find_separator=0, smooth=0, tree=0)
         inside = []
         burn, is_connected = engine._burn, Graph.is_connected
+        tree_init = Tree.__init__
 
-        def counting_burn(g, rounds, strict):
+        def counting_burn(adjacency, count, rounds, strict):
             counts["burn"] += 1
             counts["strict"] += strict
             inside.append(1)
             try:
-                return burn(g, rounds, strict)
+                return burn(adjacency, count, rounds, strict)
             finally:
                 inside.pop()
 
         def counting_is_connected(graph):
             counts["connected_in_burn" if inside else "connected"] += 1
             return is_connected(graph)
+
+        def counting_tree_init(self, *args, **kwargs):
+            counts["tree"] += 1
+            tree_init(self, *args, **kwargs)
 
         def counting(name, fn):
             def wrapper(*args):
@@ -351,13 +360,18 @@ class TestWorkPerLevel:
             return wrapper
 
         t = gen_random_tree(1600, 0)
-        monkeypatch.setattr(engine, "_burn", counting_burn)
+        for module in (engine, construct):
+            monkeypatch.setattr(module, "_burn", counting_burn)
         monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
-        # every binding of the checked constructors that construct could reach
+        monkeypatch.setattr(Tree, "__init__", counting_tree_init)
+        # every binding of the checked constructors and of the per-level
+        # oracles that construct could reach
         for module in (graphs, exact, construct):
             for name in ("build_graph", "as_tree", "component_vertices_beyond"):
                 fn = counting(name, getattr(graphs, name))
                 monkeypatch.setattr(module, name, fn, raising=False)
+        for name in ("find_separator", "smooth"):
+            monkeypatch.setattr(construct, name, counting(name, getattr(construct, name)))
         cert = construct_general(t)
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
@@ -372,9 +386,64 @@ class TestWorkPerLevel:
         # type for connectivity, so no level runs a connectivity pass
         assert counts["build_graph"] == counts["as_tree"] == 0
         assert counts["connected"] == 0
-        # find_separator's rooted pass yields the heavy branch, so no level
-        # walks the tree a second time to collect it
+        # the levels live in one working tree: no level finds its separator
+        # in, smooths or collects the branch of a Tree of its own, and the
+        # only Trees built are the grafted tree and the exact fallback's
         assert counts["component_vertices_beyond"] == 0
+        assert counts["find_separator"] == counts["smooth"] == 0
+        assert counts["tree"] <= 2
+
+
+class TestAgainstRebuildPerLevel:
+    """construct_no_deg2 against the per-level rebuild it replaced
+    (tests/reference_construct.py): same sequence, labeling and trace."""
+
+    @staticmethod
+    def check_every_margin(t):
+        m = 0
+        while t.n >= m * (m + 1) + 1:
+            assert construct_no_deg2(t, m) == reference_construct_no_deg2(t, m)
+            m += 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees(min_n=1, max_n=80))
+    def test_grafted_trees_at_every_margin(self, base):
+        t, _ = augment_degree2(base)
+        assume(t.n <= 150)
+        self.check_every_margin(t)
+
+    @pytest.fixture
+    def remembered_exact(self, monkeypatch):
+        """construct's small-tree search, remembered per tree: the
+        exhaustive tests meet the same small trees many times."""
+        search, seen = construct._burning_number_general, {}
+
+        def remembered(tree):
+            if tree.adjacency not in seen:
+                seen[tree.adjacency] = search(tree)
+            return seen[tree.adjacency]
+
+        monkeypatch.setattr(construct, "_burning_number_general", remembered)
+
+    @staticmethod
+    def check_general_margin(base):
+        # the margin construct_general runs the grafted tree at
+        t, _ = augment_degree2(base)
+        m = margin(t.n)
+        assert construct_no_deg2(t, m) == reference_construct_no_deg2(t, m)
+
+    @pytest.mark.usefixtures("remembered_exact")
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_labeled_tree(self, n):
+        for base in labeled_trees(n):
+            self.check_general_margin(base)
+
+    @pytest.mark.usefixtures("remembered_exact")
+    def test_every_16th_labeled_tree_of_order_8(self):
+        # all 262144 take minutes; a stride over the Prufer codes keeps
+        # every code tail and a spread of heads
+        for code in islice(product(range(8), repeat=6), 0, None, 16):
+            self.check_general_margin(prufer_decode(code))
 
 
 class TestProjectToSubtree:
