@@ -262,6 +262,7 @@ class _WorkingTree:
         return total
 
     def _remove(self, xs: Sequence[int]) -> None:
+        """Clear the alive flags of xs."""
         fenwick = self.fenwick
         end = len(fenwick)
         for x in xs:
