@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
 from .engine import (
@@ -168,29 +168,26 @@ def _transport(
     count: int,
     proposals: Sequence[int],
     bound: int,
-    light: Optional[Sequence[int]] = None,
-    level: int = 0,
+    in_part: Optional[Callable[[int], bool]] = None,
 ) -> tuple[BurningSequence, int]:
     """The greedy burn of proposals over the count vertices adjacency
     connects them to, canonicalized, and its round count.
 
-    The part -- every burned vertex but the light ones, those x with
-    light[x] == level -- must burn within bound rounds.  Each empty round
-    gets the lowest-id vertex burning in it: from the part up to the round
-    that burns the last of the part, from every burned vertex after that."""
+    The part -- the burned vertices in_part holds for, every one if in_part
+    is None -- must burn within bound rounds.  Each empty round gets the
+    lowest-id vertex burning in it: from the part up to the round that
+    burns the last of the part, from every burned vertex after that."""
     kept, _, layers = _burn(adjacency, count, proposals, False)
     part_rounds = len(layers)
-    if light is not None:
-        while all(light[x] == level for x in layers[part_rounds - 1]):
+    if in_part is not None:
+        while not any(map(in_part, layers[part_rounds - 1])):
             part_rounds -= 1
-        for r in range(part_rounds):
-            if kept[r] is None:
-                kept[r] = min(x for x in layers[r] if light[x] != level)
     if part_rounds > bound:
         raise InternalBoundViolation(
             f"transport took {part_rounds} rounds, bound {bound}"
         )
-    return BurningSequence(tuple(_fill_rounds(kept, layers))), len(layers)
+    seq = _fill_rounds(kept, layers, part_rounds, in_part)
+    return BurningSequence(tuple(seq)), len(layers)
 
 
 def lift_sequence(
@@ -425,6 +422,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         n = work.size[work.root]
         level_m = m_eff - 1 if m_eff >= 1 and n > m_eff * m_eff else 0
 
+    light = work.light
     for level, v, undo, n, row in reversed(frames):
         work.restore(undo)
         target = row["target"]
@@ -435,7 +433,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         # the heavy branch plus v meets the light side only at v, which
         # burns in round 1, so the branch's sequence lifts one round late
         seq, total_rounds = _transport(
-            work.adj, n, [v, *seq.sources], len(seq) + 1, work.light, level
+            work.adj, n, [v, *seq.sources], len(seq) + 1,
+            lambda x: light[x] != level,
         )
         if total_rounds > target:
             raise InternalBoundViolation(

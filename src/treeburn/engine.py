@@ -13,7 +13,7 @@ source), and round 1 must name a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned, VertexOutOfRange
 from .graphs import Graph
@@ -163,10 +163,20 @@ def greedy_schedule(
 
 
 def _fill_rounds(
-    kept: Sequence[Optional[int]], layers: Sequence[Sequence[int]]
+    kept: Sequence[Optional[int]],
+    layers: Sequence[Sequence[int]],
+    part_rounds: int = 0,
+    in_part: Optional[Callable[[int], bool]] = None,
 ) -> list[int]:
-    """kept with each empty round filled by the lowest-id vertex it burned."""
-    return [s if s is not None else min(layer) for s, layer in zip(kept, layers)]
+    """kept with each empty round filled by the lowest-id vertex it burned;
+    in the first part_rounds rounds, the lowest-id one in_part holds for
+    (any one if in_part is None)."""
+    return [
+        s if s is not None
+        else min(layer) if r >= part_rounds or in_part is None
+        else min(filter(in_part, layer))
+        for r, (s, layer) in enumerate(zip(kept, layers))
+    ]
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:

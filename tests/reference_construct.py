@@ -86,7 +86,8 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
         assert len(seq) <= row["target"] - 1
         proposals = [v] + [to_parent[s] for s in seq.sources]
         seq, total_rounds = _transport(
-            level.adjacency, level.n, proposals, len(seq) + 1, light, 1
+            level.adjacency, level.n, proposals, len(seq) + 1,
+            lambda x: light[x] == 0,
         )
         assert total_rounds <= row["target"]
         row["length"] = len(seq)

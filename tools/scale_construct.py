@@ -14,7 +14,6 @@ the certificates stayed byte-identical.
     python tools/scale_construct.py --src ../other-checkout/src --label before
 
 --src picks the checkout whose treeburn is imported (default: this one's).
---sizes overrides SIZES, for a quick run that should not be committed.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1600, 6400, 25600, 102400)
+OUT = ROOT / "BENCH_construct.json"
 PHASES = ("construct_s", "dump_s", "verify_s")
 
 
@@ -71,8 +71,9 @@ def measure(treeburn, certs, tree) -> dict:
     }
 
 
-def exponents(sizes, rows) -> dict:
-    (n1, r1), (n2, r2) = list(zip(sizes, rows))[-2:]
+def exponents(rows) -> dict:
+    r1, r2 = rows[-2:]
+    n1, n2 = r1["n"], r2["n"]
     return {
         phase: round(math.log(r2[phase] / r1[phase]) / math.log(n2 / n1), 3)
         for phase in PHASES
@@ -83,11 +84,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--label", required=True)
-    ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_construct.json")
     args = ap.parse_args(argv)
-    if len(args.sizes) < 2:
-        ap.error("the exponent needs at least two sizes")
 
     sys.path.insert(0, str(args.src.resolve()))
     import treeburn
@@ -98,11 +95,11 @@ def main(argv=None) -> int:
     results = {}
     for kind, make in trees.items():
         rows = []
-        for n in args.sizes:
+        for n in SIZES:
             row = {"n": n, **measure(treeburn, certs, make(n))}
             print(kind, json.dumps(row), flush=True)
             rows.append(row)
-        results[kind] = {"runs": rows, "exponent": exponents(args.sizes, rows)}
+        results[kind] = {"runs": rows, "exponent": exponents(rows)}
 
     record = {
         "label": args.label,
@@ -111,9 +108,9 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "results": results,
     }
-    history = json.loads(args.out.read_text()) if args.out.exists() else []
+    history = json.loads(OUT.read_text()) if OUT.exists() else []
     history.append(record)
-    args.out.write_text(json.dumps(history, indent=2) + "\n")
+    OUT.write_text(json.dumps(history, indent=2) + "\n")
     print(json.dumps({k: v["exponent"] for k, v in results.items()}))
     return 0
 
