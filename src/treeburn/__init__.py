@@ -8,7 +8,6 @@ from .bounds import (  # noqa: F401
     bound_table,
     ceil_sqrt,
     conjecture_guaranteed,
-    floor_sqrt,
     margin,
     refined_bound,
 )
@@ -46,7 +45,6 @@ from .graphs import (  # noqa: F401
     induced_subtree,
     labeled_trees,
     prufer_decode,
-    prufer_encode,
 )
 from .construct import (  # noqa: F401
     BoundCertificate,

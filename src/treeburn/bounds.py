@@ -20,13 +20,6 @@ def ceil_sqrt(x: int) -> int:
     return s if s * s == x else s + 1
 
 
-def floor_sqrt(x: int) -> int:
-    """Largest k >= 0 with k*k <= x."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return isqrt(x)
-
-
 def margin(total: int) -> int:
     """Largest m >= 0 with m*(m+1)+1 <= total.
 
@@ -51,7 +44,7 @@ def refined_bound(n: int, n2: int) -> int:
 
 
 def conjecture_guaranteed(n: int, n2: int) -> bool:
-    """True iff n2 <= floor_sqrt(n - 1), in which case the refined bound is
+    """True iff n2 <= isqrt(n - 1), in which case the refined bound is
     at most ceil_sqrt(n)."""
     if n < 1:
         raise ValueError("need n >= 1")

@@ -119,31 +119,23 @@ def _emit(text: str, out: str | None) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# kind -> (parameter count, generator taking the parameters and the seed)
+GENERATORS = {
+    "path": (1, lambda n, seed: gen_path(n)),
+    "cycle": (1, lambda n, seed: gen_cycle(n)),
+    "full-binary": (1, lambda height, seed: gen_full_binary(height)),
+    "double-star": (2, lambda s, t, seed: gen_double_star(s, t)),
+    "random-tree": (1, gen_random_tree),
+    "random-no-deg2": (1, gen_random_no_deg2),
+}
+
+
 def cmd_gen(args) -> int:
-    kind = args.kind
-    params = args.params
-    seed = args.seed
-
-    def need(count: int) -> list[int]:
-        if len(params) != count:
-            raise ParseError(f"kind {kind!r} takes {count} parameter(s)")
-        return [int(x) for x in params]
-
+    count, generate = GENERATORS[args.kind]
+    if len(args.params) != count:
+        raise ParseError(f"kind {args.kind!r} takes {count} parameter(s)")
     try:
-        if kind == "path":
-            g = gen_path(*need(1))
-        elif kind == "cycle":
-            g = gen_cycle(*need(1))
-        elif kind == "full-binary":
-            g = gen_full_binary(*need(1))
-        elif kind == "double-star":
-            g = gen_double_star(*need(2))
-        elif kind == "random-tree":
-            g = gen_random_tree(need(1)[0], seed)
-        elif kind == "random-no-deg2":
-            g = gen_random_no_deg2(need(1)[0], seed)
-        else:
-            raise ParseError(f"unknown kind {kind!r}")
+        g = generate(*map(int, args.params), args.seed)
     except ValueError as exc:
         raise ParseError(str(exc))
     _emit(format_edge_list(g), args.out)
@@ -319,12 +311,7 @@ def parse_corpus_spec(spec: str) -> tuple[str, int, int, int]:
 def _bench_instance(task: tuple[str, str, int, int, int]) -> dict:
     instance, kind, n, seed, cap = task
     t0 = time.perf_counter()
-    if kind == "random-tree":
-        tree = gen_random_tree(n, seed)
-    elif kind == "random-no-deg2":
-        tree = gen_random_no_deg2(n, seed)
-    else:
-        tree = gen_path(n)
+    tree = GENERATORS[kind][1](n, seed)
     us_gen = int((time.perf_counter() - t0) * 1e6)
 
     exact_val = ""
@@ -404,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a generated graph as an edge list")
-    p.add_argument("kind", choices=[
-        "path", "cycle", "full-binary", "double-star", "random-tree", "random-no-deg2",
-    ])
+    p.add_argument("kind", choices=list(GENERATORS))
     p.add_argument("params", nargs="+", help="size parameters for the kind")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

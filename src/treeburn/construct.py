@@ -25,16 +25,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
-from .engine import (
-    BurningSequence,
-    RoundLabeling,
-    _burn,
-    _fill_rounds,
-    validate_sequence,
-)
+from .engine import BurningSequence, RoundLabeling, _transport, validate_sequence
 from .errors import (
     DegreeTooSmall,
     InternalBoundViolation,
@@ -161,33 +155,6 @@ def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
     for x in path:
         adj[local[x]].sort()
     return Tree(tuple(map(tuple, adj))), kept
-
-
-def _transport(
-    adjacency: Sequence[Sequence[int]],
-    count: int,
-    proposals: Sequence[int],
-    bound: int,
-    in_part: Optional[Callable[[int], bool]] = None,
-) -> tuple[BurningSequence, int]:
-    """The greedy burn of proposals over the count vertices adjacency
-    connects them to, canonicalized, and its round count.
-
-    The part -- the burned vertices in_part holds for, every one if in_part
-    is None -- must burn within bound rounds.  Each empty round gets the
-    lowest-id vertex burning in it: from the part up to the round that
-    burns the last of the part, from every burned vertex after that."""
-    kept, _, layers = _burn(adjacency, count, proposals, False)
-    part_rounds = len(layers)
-    if in_part is not None:
-        while not any(map(in_part, layers[part_rounds - 1])):
-            part_rounds -= 1
-    if part_rounds > bound:
-        raise InternalBoundViolation(
-            f"transport took {part_rounds} rounds, bound {bound}"
-        )
-    seq = _fill_rounds(kept, layers, part_rounds, in_part)
-    return BurningSequence(tuple(seq)), len(layers)
 
 
 def lift_sequence(

@@ -1,4 +1,5 @@
-"""The burning process: simulation, sequence validation, canonicalization.
+"""The burning process: simulation, sequence validation, canonicalization,
+and the transport of proposed sources into a canonical burning sequence.
 
 Round semantics.  In round r the fire spreads to every unburned vertex
 adjacent to a vertex burned in an earlier round, and the round's source (if
@@ -15,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import LengthMismatch, NotConnected, SourceAlreadyBurned, VertexOutOfRange
+from .errors import (
+    InternalBoundViolation,
+    LengthMismatch,
+    NotConnected,
+    SourceAlreadyBurned,
+    VertexOutOfRange,
+)
 from .graphs import Graph
 
 # An empty round: the fire only spreads by adjacency.
@@ -177,6 +184,35 @@ def _fill_rounds(
         else min(filter(in_part, layer))
         for r, (s, layer) in enumerate(zip(kept, layers))
     ]
+
+
+def _transport(
+    adjacency: Sequence[Sequence[int]],
+    count: int,
+    proposals: Sequence[Optional[int]],
+    bound: int,
+    in_part: Optional[Callable[[int], bool]] = None,
+) -> tuple[BurningSequence, int]:
+    """The greedy burn of proposals over the count vertices adjacency
+    connects them to, canonicalized, and its round count: how construct
+    lifts and projects, and how the exact searches get their witnesses.
+
+    A proposal the fire beat drops out.  The part -- the burned vertices
+    in_part holds for, every one if in_part is None -- must burn within
+    bound rounds.  Each empty round gets the lowest-id vertex burning in it:
+    from the part up to the round that burns the last of the part, from
+    every burned vertex after that."""
+    kept, _, layers = _burn(adjacency, count, proposals, False)
+    part_rounds = len(layers)
+    if in_part is not None:
+        while not any(map(in_part, layers[part_rounds - 1])):
+            part_rounds -= 1
+    if part_rounds > bound:
+        raise InternalBoundViolation(
+            f"transport took {part_rounds} rounds, bound {bound}"
+        )
+    seq = _fill_rounds(kept, layers, part_rounds, in_part)
+    return BurningSequence(tuple(seq)), len(layers)
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:

@@ -9,18 +9,23 @@ sequences.  burning_number_naive() enumerates source sequences outright
 and judges each one purely by simulation; it is the arbiter in every
 cross-check, and neither search is ever trusted on its own.
 
+Both searches run in one loop, _solve, from k = ceil_sqrt(diameter + 1) up
+(a ball of radius r meets a geodesic in at most 2r + 1 vertices) to the
+first k whose search proposes a source per round.  engine._transport burns
+the proposals greedily, dropping any the fire beat, and fills each empty
+round with the lowest-id vertex it burns; the witness is validated by
+simulation.  The general search's proposals pass through unchanged.
+
 The tree search roots the tree at vertex 0 and numbers the vertices in BFS
 order, so the highest uncovered bit is a deepest uncovered vertex x.  Some
 unused radius r must cover x, and the radius-r ball around x's ancestor at
 distance r (the root if x is shallower) covers every uncovered vertex that
 any radius-r ball through x covers.  So the search branches over at most k
 radii per state, computes each ball once by a bounded BFS, and remembers
-the (uncovered, unused radii) states that failed, across every k from
-ceil_sqrt(diameter + 1) up.  The centres, largest radius first, are burned
-greedily (a centre the fire beat drops out) and the empty rounds filled
-with the lowest-id vertex each burns.  construct's small-tree fallback keeps the general search
-(_burning_number_general), because its witness feeds the lift and the
-goldens pin the sequences that result.
+the (uncovered, unused radii) states that failed, across every k tried.  It
+proposes the centres, largest radius first.  construct's small-tree
+fallback keeps the general search (_burning_number_general), because its
+witness feeds the lift and the goldens pin the sequences that result.
 
 nodes_explored counts, over every k tried, the balls the tree search
 placed, or the sources the general search placed plus the complete
@@ -36,13 +41,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .bounds import ceil_sqrt
-from .engine import (
-    EMPTY,
-    BurningSequence,
-    _burn_graph,
-    _fill_rounds,
-    validate_sequence,
-)
+from .engine import EMPTY, BurningSequence, _transport, validate_sequence
 from .errors import (
     InternalBoundViolation,
     NotConnected,
@@ -83,6 +82,7 @@ class _Search:
         self.n = graph.n
         self.dist = [bfs_distances(graph, v) for v in range(graph.n)]
         ecc = [max(row) for row in self.dist]
+        self.lower = ceil_sqrt(max(ecc) + 1)
         self.order = sorted(range(graph.n), key=lambda v: (-ecc[v], v))
         self.full = (1 << graph.n) - 1
         self._ball_cache: dict[int, list[int]] = {}
@@ -217,9 +217,10 @@ class _TreeSearch:
             self._balls[key] = mask
         return mask
 
-    def find(self, k: int) -> Optional[dict[int, int]]:
-        """For each radius a cover by balls of radii k-1..0 uses, the
-        deepest uncovered vertex it was placed for; None if none covers."""
+    def find(self, k: int) -> Optional[list[Optional[int]]]:
+        """Per-round proposals from a cover by balls of radii k-1..0: round
+        i gets the centre of the radius-(k-i) ball, or EMPTY if the cover
+        does without it; None if no cover exists."""
         chosen: dict[int, int] = {}
         failed, shift, ball = self.failed, self.shift, self.ball
 
@@ -243,23 +244,33 @@ class _TreeSearch:
             failed.add(key)
             return False
 
-        if cover((1 << len(self.order)) - 1, (1 << k) - 1):
-            return chosen
-        return None
+        if not cover((1 << len(self.order)) - 1, (1 << k) - 1):
+            return None
+        # a centre already burned lies within a larger, earlier ball, so the
+        # greedy burn still covers everything within k rounds
+        proposals = [EMPTY] * k
+        for r, x in chosen.items():
+            proposals[k - 1 - r] = self.order[self.centre(x, r)]
+        return proposals
+
+
+def _solve(graph: Graph, search) -> ExactResult:
+    """Both searches' k-loop: search.find(k) from k = search.lower up, its
+    first proposals transported into a validated witness of length k."""
+    k = search.lower
+    while (proposals := search.find(k)) is None:
+        k += 1
+    seq = _transport(graph.adjacency, graph.n, proposals, k)[0]
+    validate_sequence(graph, seq)  # the search result is never trusted blindly
+    if len(seq) != k:
+        raise InternalBoundViolation(f"search missed a sequence of length {len(seq)}")
+    return ExactResult(k, seq, search.nodes)
 
 
 def _burning_number_general(g: Graph) -> ExactResult:
     """burning_number by the general search, whatever the graph's shape."""
     _require_connected(g)
-    search = _Search(g)  # distances and ball masks shared across all k
-    k = 1
-    while True:
-        found = search.find(k)
-        if found is not None:
-            seq = BurningSequence(found)
-            validate_sequence(g, seq)
-            return ExactResult(k, seq, search.nodes)
-        k += 1
+    return _solve(g, _Search(g))  # distances and ball masks shared across all k
 
 
 def burnable_within(g: Graph, k: int) -> Optional[BurningSequence]:
@@ -280,21 +291,7 @@ def burning_number(g: Graph) -> ExactResult:
     if g.edge_count() != g.n - 1:
         return _burning_number_general(g)
     t = as_tree(g)  # checks connectivity once; the burns below trust the type
-    search = _TreeSearch(t)
-    k = search.lower
-    while (chosen := search.find(k)) is None:
-        k += 1
-    proposals = [EMPTY] * k
-    for r, x in chosen.items():
-        proposals[k - 1 - r] = search.order[search.centre(x, r)]
-    # a centre already burned lies within a larger, earlier ball, so the
-    # greedy burn still covers everything within k rounds
-    kept, _, layers = _burn_graph(t, proposals, strict=False)
-    seq = BurningSequence(tuple(_fill_rounds(kept, layers)))
-    validate_sequence(t, seq)
-    if len(seq) != k:
-        raise InternalBoundViolation(f"tree search missed a sequence of length {len(seq)}")
-    return ExactResult(k, seq, search.nodes)
+    return _solve(t, _TreeSearch(t))
 
 
 def burning_number_naive(g: Graph) -> ExactResult:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -45,9 +46,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
         n = self.n
@@ -144,7 +142,7 @@ def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
     """Vertices of the component of t minus edge uv that contains v, sorted.
     A test oracle for the branches construct measures by subtree sizes."""
     _require_vertices(t, u, v)
-    if not t.has_edge(u, v):
+    if v not in t.neighbors(u):
         raise NotAnEdge(f"({u}, {v}) is not an edge")
     # in a tree, u is reachable from v only through the edge uv itself, so
     # refusing to visit u explores exactly v's side of the cut
@@ -212,8 +210,6 @@ def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, 
 def prufer_decode(code: Sequence[int]) -> Tree:
     """Labeled tree on len(code)+2 vertices from its Prufer code."""
     n = len(code) + 2
-    if n == 2:
-        return as_tree(build_graph(2, [(0, 1)]))
     degree = [1] * n
     for x in code:
         if not 0 <= x < n:
@@ -234,47 +230,13 @@ def prufer_decode(code: Sequence[int]) -> Tree:
     return as_tree(build_graph(n, edges))
 
 
-def prufer_encode(t: Tree) -> tuple[int, ...]:
-    """Prufer code of a labeled tree (length n-2); inverse of prufer_decode."""
-    n = t.n
-    if n < 2:
-        raise ValueError("Prufer codes are defined for trees with n >= 2")
-    if n == 2:
-        return ()
-    degree = [t.degree(v) for v in range(n)]
-    removed = bytearray(n)
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    code = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        removed[leaf] = 1
-        nb = next(w for w in t.neighbors(leaf) if not removed[w])
-        code.append(nb)
-        degree[nb] -= 1
-        if degree[nb] == 1:
-            heapq.heappush(leaves, nb)
-    return tuple(code)
-
-
-def labeled_trees(n: int):
-    """Yield every labeled tree on n vertices, in Prufer-code order."""
+def labeled_trees(n: int) -> Iterator[Tree]:
+    """Every labeled tree on n vertices, in Prufer-code order."""
+    if n < 1:
+        raise ValueError("tree needs n >= 1")
     if n == 1:
-        yield as_tree(build_graph(1, []))
-        return
-    if n == 2:
-        yield prufer_decode(())
-        return
-    code = [0] * (n - 2)
-    while True:
-        yield prufer_decode(code)
-        i = n - 3
-        while i >= 0 and code[i] == n - 1:
-            code[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        code[i] += 1
+        return iter([as_tree(build_graph(1, []))])
+    return map(prufer_decode, product(range(n), repeat=n - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ This is the per-level rebuild that construct ran before it kept one
 working tree: every level is its own dense-id Tree, the separator and the
 heavy branch come from find_separator, the smoothed branch from
 induced_subtree + smooth, and the small-tree witness from burnable_within
-at k = 1, 2, ...  Only the greedy burn of a level, _transport, is shared
-with construct.  Tests compare its certificates with construct_no_deg2's,
+at k = 1, 2, ...  Only the greedy burn of a level, engine._transport, is
+shared with construct.  Tests compare its certificates with construct_no_deg2's,
 field for field.
 """
 
@@ -22,7 +22,8 @@ from treeburn import (
     smooth,
     validate_sequence,
 )
-from treeburn.construct import EXACT_FALLBACK_N, BoundCertificate, _transport
+from treeburn.construct import EXACT_FALLBACK_N, BoundCertificate
+from treeburn.engine import _transport
 
 
 _WITNESSES: dict = {}

@@ -103,7 +103,7 @@ def test_06_refined_bound_stays_within_conjecture_for_sparse_degree2():
     t0 = time.perf_counter()
     # Step 1: exhaustively verify that total - margin(total) never decreases
     # (so the refined bound is monotone in n2 and the worst case per n is
-    # n2 = floor_sqrt(n - 1)).
+    # n2 = isqrt(n - 1)).
     m = 0
     prev = 0
     for total in range(1, 2_001_001):
@@ -127,7 +127,7 @@ def test_06_refined_bound_stays_within_conjecture_for_sparse_degree2():
         s += s * s < n
         assert r <= s, (n, n2)
     report(
-        "refined bound <= ceil_sqrt(n) for all n <= 1e6, n2 <= floor_sqrt(n-1)",
+        "refined bound <= ceil_sqrt(n) for all n <= 1e6, n2 <= isqrt(n-1)",
         t0,
         budget=60,
     )

@@ -12,7 +12,6 @@ from treeburn.bounds import (
     bound_table,
     ceil_sqrt,
     conjecture_guaranteed,
-    floor_sqrt,
     land_lu_bound,
     margin,
     murakami_bound,
@@ -105,7 +104,7 @@ class TestConjectureGuaranteed:
 
     @given(st.integers(2, 200_000))
     def test_implies_conjecture_bound(self, n):
-        n2 = floor_sqrt(n - 1)
+        n2 = math.isqrt(n - 1)
         assert conjecture_guaranteed(n, n2)
         assert refined_bound(n, n2) <= ceil_sqrt(n)
 

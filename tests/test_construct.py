@@ -360,8 +360,7 @@ class TestWorkPerLevel:
             return wrapper
 
         t = gen_random_tree(1600, 0)
-        for module in (engine, construct):
-            monkeypatch.setattr(module, "_burn", counting_burn)
+        monkeypatch.setattr(engine, "_burn", counting_burn)
         monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
         monkeypatch.setattr(Tree, "__init__", counting_tree_init)
         # every binding of the checked constructors and of the per-level
@@ -376,9 +375,10 @@ class TestWorkPerLevel:
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
         assert len(levels) >= 20 and len(exact_rows) == 1
-        # one lift per level and one projection; the strict burns are the
-        # exact search's witness check and the final validations of
-        # construct_no_deg2 and construct_general, whatever the level count
+        # one lift per level, one projection and the exact witness's
+        # transport; the strict burns are the exact search's witness check
+        # and the final validations of construct_no_deg2 and
+        # construct_general, whatever the level count
         assert counts["burn"] <= len(levels) + 5
         assert counts["strict"] <= 4
         assert counts["connected_in_burn"] == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from treeburn import (
+    bfs_distances,
     burnable_within,
     burning_number,
     burning_number_naive,
@@ -179,6 +180,38 @@ class TestTreeSearch:
     def test_long_path_is_solved_at_its_lower_bound(self):
         res = burning_number(gen_path(400))
         assert res.burning_number == ceil_sqrt(400) == len(res.witness)
+
+
+class TestSolve:
+    """The k-loop both searches run in."""
+
+    def test_no_search_tries_k_below_the_diameter_bound(self, monkeypatch):
+        tried: list[int] = []
+        for cls in (exact._Search, exact._TreeSearch):
+
+            def counting(self, k, find=cls.find):
+                tried.append(k)
+                return find(self, k)
+
+            monkeypatch.setattr(cls, "find", counting)
+        cycles = [gen_cycle(n) for n in range(3, 20)]
+        chorded = [g for g in _trees_plus_chords(40) if g.edge_count() >= g.n]
+        for corpus in (list(_tree_corpus()), cycles + chorded):
+            calls = 0
+            for g in corpus:
+                tried.clear()
+                b = burning_number(g).burning_number
+                diameter = max(max(bfs_distances(g, v)) for v in range(g.n))
+                assert tried == list(range(ceil_sqrt(diameter + 1), b + 1))
+                calls += len(tried)
+            assert calls > len(corpus)  # some solves go past their bound
+
+    def test_general_witness_is_the_search_result(self):
+        # the transport keeps a burning sequence of length k as it is
+        chorded = [g for g in _trees_plus_chords(40) if g.edge_count() >= g.n]
+        for g in [gen_cycle(n) for n in range(3, 20)] + chorded:
+            res = burning_number(g)
+            assert res.witness == burnable_within(g, res.burning_number)
 
 
 class TestNodeBudget:

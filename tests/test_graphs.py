@@ -20,7 +20,6 @@ from treeburn import (
     induced_subtree,
     labeled_trees,
     prufer_decode,
-    prufer_encode,
     smooth,
 )
 from treeburn.errors import (
@@ -233,31 +232,30 @@ class TestGenerators:
 
 
 class TestPrufer:
-    def test_roundtrip_exhaustive_small(self):
-        # decode is a bijection from codes to labeled trees, so checking
-        # encode(decode(code)) == code over every code is exhaustive over
-        # labeled trees
-        for n in range(3, 9):
-            code = [0] * (n - 2)
-            while True:
-                t = prufer_decode(code)
-                assert prufer_encode(t) == tuple(code)
-                i = n - 3
-                while i >= 0 and code[i] == n - 1:
-                    code[i] = 0
-                    i -= 1
-                if i < 0:
-                    break
-                code[i] += 1
+    def test_labeled_trees_are_pairwise_distinct(self):
+        # n^(n-2) distinct trees from n^(n-2) codes: decode is injective,
+        # so labeled_trees yields every labeled tree exactly once
+        for n in range(2, 9):
+            seen = {sum(1 << (u * n + v) for u, v in t.edges()) for t in labeled_trees(n)}
+            assert len(seen) == n ** (n - 2)
 
     def test_labeled_trees_count(self):
         assert sum(1 for _ in labeled_trees(5)) == 125  # n^(n-2)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_labeled_trees_rejects_orders_below_one(self, n):
+        with pytest.raises(ValueError):
+            list(labeled_trees(n))
+
     @settings(max_examples=50)
-    @given(st.integers(10, 60), st.integers(0, 2**32))
-    def test_roundtrip_random(self, n, seed):
-        t = gen_random_tree(n, seed)
-        assert prufer_decode(prufer_encode(t)) == t
+    @given(st.integers(10, 60).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+    ))
+    def test_decoded_degrees_count_code_entries(self, code):
+        # every vertex appears in the code one time fewer than its degree
+        n = len(code) + 2
+        t = prufer_decode(code)
+        assert [t.degree(v) for v in range(n)] == [1 + code.count(v) for v in range(n)]
 
 
 class TestInternalVertexBound:
