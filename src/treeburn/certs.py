@@ -17,7 +17,7 @@ from .construct import BoundCertificate
 from .engine import BurningSequence, validate_sequence
 from .graphs import Tree, as_tree, build_graph, degree2_census
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def document_from_certificate(
@@ -109,8 +109,13 @@ def verify_document(doc: dict) -> dict:
     stored = doc.get("labels")
     recomputed = {str(v): r for v, r in enumerate(labeling.labels)}
     # Only the first source burns in round 1, so once the dicts are equal a
-    # bool (True == 1) can sit nowhere else.
-    if stored != recomputed or type(stored[str(seq.sources[0])]) is not int:
+    # bool (True == 1) can sit nowhere else; one float (2.0 == 2) anywhere
+    # makes the sum a float.
+    if (
+        stored != recomputed
+        or type(stored[str(seq.sources[0])]) is not int
+        or type(sum(stored.values())) is not int
+    ):
         raise VerificationFailure("labels mismatch")
     _check_claim(doc, "total_rounds", labeling.total_rounds, "round count")
     expected = bound_table(n, n2).as_dict()

@@ -54,8 +54,10 @@ class BoundCertificate:
 
     trace holds one flat row of scalars per level, outermost first: step
     ("exact", "pendant" or "smooth"), order, m, target, separator, heavy,
-    length and drop_margin.  construct_general brackets them with an
-    "augment" row (augmented order) and a "project" row (projected length).
+    length and drop_margin; separator and heavy are ids of the tree
+    construct_no_deg2 was given.  construct_general brackets them with an
+    "augment" row (augmented order) and a "project" row (projected length),
+    so there they are ids of the grafted tree.
     """
 
     tree: Tree
@@ -188,15 +190,14 @@ def lift_sequence(
 class _WorkingTree:
     """One mutable tree in the ids of the tree construct_no_deg2 is given.
 
-    Every relabeling of the per-level construction is monotone, so a level's
-    tree can live in the input's ids: its vertices are the alive ones, its
-    ids their ranks among them.  The tree stays rooted at its lowest-id
-    leaf, which no level removes (smoothing keeps the two lowest leaf
-    neighbors as path ends), so parent and subtree size are kept up to date
-    instead of recomputed.  Removed vertices stay in adj, cut off from the
-    root: the current level is the root's component.  A Fenwick tree over
-    the alive flags gives ranks in O(log n), and light[x] is the level on
-    whose light side x lies (-1 if none).
+    Every relabeling of the per-level construction is monotone and every
+    tie-break compares ids only, so each level's tree lives in the input's
+    ids, and its trace row names vertices in them.  The tree stays rooted at
+    its lowest-id leaf, which no level removes (smoothing keeps the two
+    lowest leaf neighbors as path ends), so parent and subtree size are kept
+    up to date instead of recomputed.  Removed vertices stay in adj, cut off
+    from the root: the current level is the root's component.  light[x] is
+    the level on whose light side x lies (-1 if none).
     """
 
     def __init__(self, t: Tree):
@@ -214,26 +215,7 @@ class _WorkingTree:
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
         self.adj, self.root, self.parent, self.size = adj, root, parent, size
-        self.fenwick = [i & -i for i in range(n + 1)]
         self.light = [-1] * n
-
-    def rank(self, x: int) -> int:
-        """The number of alive vertices with a lower id than x."""
-        fenwick, total = self.fenwick, 0
-        while x:
-            total += fenwick[x]
-            x &= x - 1
-        return total
-
-    def _remove(self, xs: Sequence[int]) -> None:
-        """Clear the alive flags of xs."""
-        fenwick = self.fenwick
-        end = len(fenwick)
-        for x in xs:
-            i = x + 1
-            while i < end:
-                fenwick[i] -= 1
-                i += i & -i
 
     def subtree(self, v: int) -> list[int]:
         """v and its descendants, v first."""
@@ -260,11 +242,10 @@ class _WorkingTree:
                 return v
 
     def cut(self, v: int, level: int) -> None:
-        """Remove v's subtree, marking all of it but v light at level."""
-        below = self.subtree(v)
-        for x in below[1:]:
-            self.light[x] = level
-        self._remove(below)
+        """Mark all of v's subtree but v light at level."""
+        light = self.light
+        for x in self.subtree(v)[1:]:
+            light[x] = level
 
     def smooth(self, v: int, level: int) -> list[tuple[int, list[int]]]:
         """Descend from the level's tree into its smoothed heavy branch:
@@ -301,7 +282,6 @@ class _WorkingTree:
             size[x] -= removed
             x = parent[x]
         self.cut(v, level)
-        self._remove([w, *leaf_nbrs[2:]])
         return undo
 
     def restore(self, undo: list[tuple[int, list[int]]]) -> None:
@@ -374,9 +354,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         # exceeds 2*target - 2
         v = work.separator(2 * target - 2)
         heavy = work.parent[v]
-        row.update(
-            separator=work.rank(v), heavy=work.rank(heavy), drop_margin=m_eff != level_m
-        )
+        row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
         level = len(frames)
         if n - work.size[v] == 1:  # the heavy branch is the root alone
             row["step"] = "pendant"

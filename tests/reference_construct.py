@@ -4,9 +4,10 @@ This is the per-level rebuild that construct ran before it kept one
 working tree: every level is its own dense-id Tree, the separator and the
 heavy branch come from find_separator, the smoothed branch from
 induced_subtree + smooth, and the small-tree witness from burnable_within
-at k = 1, 2, ...  Only the greedy burn of a level, engine._transport, is
-shared with construct.  Tests compare its certificates with construct_no_deg2's,
-field for field.
+at k = 1, 2, ...  Each level also keeps its map to t's ids, in which the
+trace rows name vertices.  Only the greedy burn of a level,
+engine._transport, is shared with construct.  Tests compare its
+certificates with construct_no_deg2's, field for field.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
     rows = []
     frames = []  # (level tree, v, to_parent, light marks, row), outermost first
     level, level_m = t, m
+    to_input = list(range(t.n))  # the level's ids -> t's ids
     while True:
         n = level.n
         target = ceil_sqrt(n - level_m)
@@ -68,7 +70,9 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
         if level_m >= 1 and n == level_m * (level_m + 1) + 1:
             m_eff = 0
         v, heavy, branch = find_separator(level, Fraction(4 * target - 3, 2))
-        row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
+        row.update(
+            separator=to_input[v], heavy=to_input[heavy], drop_margin=m_eff != level_m
+        )
         part = {*branch, v}
         light = [0 if x in part else 1 for x in range(n)]
         if len(branch) == 1:
@@ -79,7 +83,9 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
         row["step"] = "smooth"
         sub, to_level = induced_subtree(level, branch)
         smoothed, to_sub = smooth(sub, to_level.index(heavy))
-        frames.append((level, v, [to_level[x] for x in to_sub], light, row))
+        to_parent = [to_level[x] for x in to_sub]
+        frames.append((level, v, to_parent, light, row))
+        to_input = [to_input[x] for x in to_parent]
         level = smoothed
         level_m = m_eff - 1 if m_eff >= 1 and level.n > m_eff * m_eff else 0
 

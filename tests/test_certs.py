@@ -40,7 +40,7 @@ class TestFlatTrace:
     def test_rows_hold_scalars_only_and_depth_is_constant(self):
         small, large = certificate(100, 11), certificate(3200, 12)
         for doc in (small, large):
-            assert doc["schema_version"] == "2"
+            assert doc["schema_version"] == "3"
             steps = [row["step"] for row in doc["trace"]]
             assert steps[0] == "augment" and steps[-1] == "project"
             assert set(steps[1:-1]) <= {"exact", "pendant", "smooth"}
@@ -49,9 +49,10 @@ class TestFlatTrace:
         assert len(large["trace"]) > len(small["trace"])
         assert json_depth(small) == json_depth(large)
 
-    def test_trace_is_not_checked(self):
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_trace_is_not_checked(self, version):
         doc = certificate(40, 3)
-        doc["schema_version"] = "1"
+        doc["schema_version"] = version
         doc["trace"] = [{"step": "separator", "trace": [{"light_components": [[0, 1]]}]}]
         assert verify_document(doc)["ok"] is True
 
@@ -181,8 +182,8 @@ def test_cli_verify_exits_1_on_mutated_documents(fuzz_dir, doc):
 
 
 # ---------------------------------------------------------------------------
-# Booleans are not integers: True == 1 and False == 0 under ==, so every
-# integer claim is checked for its type as well.
+# Booleans and floats are not integers: True == 1, False == 0 and 2.0 == 2
+# under ==, so every integer claim is checked for its type as well.
 # ---------------------------------------------------------------------------
 
 CHECKED_KEYS = {
@@ -211,6 +212,9 @@ def type_swaps():
                 yield i, path, bool(value)
         flag = ("bound_table", "conjecture_guaranteed")
         yield i, flag, int(value_at(base, flag))
+        labels = base["labels"]
+        last = max(labels, key=labels.get)  # not the round-1 source when n > 1
+        yield i, ("labels", last), float(labels[last])
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,19 @@ def test_traces_match_golden_file():
     assert traces() == golden
 
 
+def test_level_rows_name_distinct_vertices_of_the_grafted_tree():
+    # a cut separator never comes back, so no inner level meets it again
+    for cert in certificates():
+        order = cert.trace[0]["order"]
+        separators = []
+        for row in cert.trace:
+            if row["step"] in ("smooth", "pendant"):
+                assert 0 <= row["separator"] < order and 0 <= row["heavy"] < order
+                assert row["separator"] not in separators
+                assert row["heavy"] not in separators
+                separators.append(row["separator"])
+
+
 def test_corpus_covers_pendant_levels():
     steps = [row["step"] for cert in certificates() for row in cert.trace]
     assert steps.count("pendant") >= 10

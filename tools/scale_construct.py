@@ -7,8 +7,10 @@ json.loads + verify_document.  The scaling exponent of each phase is fitted
 from the last two orders, log(t2 / t1) / log(n2 / n1).  The record also
 holds the git revision of the checkout that was timed ("-dirty" when its
 tracked files differ from that commit), the Python version, each tree's
-level count and the sha256 of its certificate, so two records show whether
-the certificates stayed byte-identical.
+level count, the sha256 of its sequence (json.dumps of the source list) and
+of its certificate, so two records show whether the sequences and the
+certificates stayed byte-identical, and a trace or format change stays
+distinguishable from a sequence change.
 
     python tools/scale_construct.py --label after
     python tools/scale_construct.py --src ../other-checkout/src --label before
@@ -67,6 +69,9 @@ def measure(treeburn, certs, tree) -> dict:
         "verify_s": round(verify_s, 4),
         "levels": levels,
         "length": len(cert.sequence),
+        "sequence_sha256": hashlib.sha256(
+            json.dumps(list(cert.sequence.sources)).encode()
+        ).hexdigest(),
         "cert_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
 
