@@ -22,7 +22,6 @@ from .engine import (  # noqa: F401
 )
 from .exact import (  # noqa: F401
     ExactResult,
-    burnable_within,
     burning_number,
     burning_number_naive,
     spanning_tree_min,

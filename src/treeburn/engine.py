@@ -53,9 +53,6 @@ class RoundLabeling:
     labels: tuple[int, ...]
     total_rounds: int
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.labels))
-
 
 def _burn(
     adjacency: Sequence[Sequence[int]],
@@ -169,23 +166,6 @@ def greedy_schedule(
     return tuple(kept), RoundLabeling(tuple(labels), len(layers))
 
 
-def _fill_rounds(
-    kept: Sequence[Optional[int]],
-    layers: Sequence[Sequence[int]],
-    part_rounds: int = 0,
-    in_part: Optional[Callable[[int], bool]] = None,
-) -> list[int]:
-    """kept with each empty round filled by the lowest-id vertex it burned;
-    in the first part_rounds rounds, the lowest-id one in_part holds for
-    (any one if in_part is None)."""
-    return [
-        s if s is not None
-        else min(layer) if r >= part_rounds or in_part is None
-        else min(filter(in_part, layer))
-        for r, (s, layer) in enumerate(zip(kept, layers))
-    ]
-
-
 def _transport(
     adjacency: Sequence[Sequence[int]],
     count: int,
@@ -195,7 +175,8 @@ def _transport(
 ) -> tuple[BurningSequence, int]:
     """The greedy burn of proposals over the count vertices adjacency
     connects them to, canonicalized, and its round count: how construct
-    lifts and projects, and how the exact searches get their witnesses.
+    lifts and projects, how the exact searches get their witnesses, and how
+    canonicalize fills empty rounds.
 
     A proposal the fire beat drops out.  The part -- the burned vertices
     in_part holds for, every one if in_part is None -- must burn within
@@ -211,12 +192,17 @@ def _transport(
         raise InternalBoundViolation(
             f"transport took {part_rounds} rounds, bound {bound}"
         )
-    seq = _fill_rounds(kept, layers, part_rounds, in_part)
+    seq = [
+        s if s is not None
+        else min(layer) if in_part is None or r >= part_rounds
+        else min(filter(in_part, layer))
+        for r, (s, layer) in enumerate(zip(kept, layers))
+    ]
     return BurningSequence(tuple(seq)), len(layers)
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process."""
-    kept, _, layers = _burn_graph(g, rounds, strict=True)
-    return BurningSequence(tuple(_fill_rounds(kept, layers)))
+    simulate(g, rounds)  # the strict check: every source unburned in its round
+    return _transport(g.adjacency, g.n, rounds, g.n)[0]

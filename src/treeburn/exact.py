@@ -4,16 +4,18 @@ Both searches rest on the ball-cover view of burning (Bonato, Janssen &
 Roshanbin, "How to burn a graph", 2016): b(G) <= k iff balls of radii
 k-1, ..., 0 cover every vertex.  burning_number() sends a connected graph
 with n - 1 edges -- a tree, whatever its type -- to a search built for
-trees, and every other graph to a general pruned search over source
-sequences.  burning_number_naive() enumerates source sequences outright
-and judges each one purely by simulation; it is the arbiter in every
+trees, and every other graph to a general pruned search: it proposes k
+sources, each unburned at the start of its round, whose balls cover the
+graph.  burning_number_naive() enumerates source sequences outright and
+judges each one purely by simulation; it is the arbiter in every
 cross-check, and neither search is ever trusted on its own.
 
-Both searches run in one loop, _solve, from k = ceil_sqrt(diameter + 1) up
-(a ball of radius r meets a geodesic in at most 2r + 1 vertices) to the
-first k whose search proposes a source per round.  engine._transport burns
-the proposals greedily, dropping any the fire beat, and fills each empty
-round with the lowest-id vertex it burns; the witness is validated by
+Neither search asks for exactly k rounds; _solve makes the result exact.
+It runs both searches from k = ceil_sqrt(diameter + 1) up (a ball of
+radius r meets a geodesic in at most 2r + 1 vertices) to the first k whose
+search finds a cover, which is b(G).  engine._transport burns the
+proposals greedily, dropping any the fire beat, and fills each empty round
+with the lowest-id vertex it burns; the witness is validated by
 simulation.  The general search's proposals pass through unchanged.
 
 The tree search roots the tree at vertex 0 and numbers the vertices in BFS
@@ -90,8 +92,6 @@ class _Search:
 
     def balls(self, radius: int) -> list[int]:
         """Bitmask of the closed radius-ball around each vertex."""
-        if radius < 0:
-            return [0] * self.n
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
@@ -107,18 +107,13 @@ class _Search:
         return masks
 
     def find(self, k: int) -> Optional[tuple[int, ...]]:
-        """A length-k source tuple whose process terminates in exactly k
-        rounds, or None.
+        """k sources, each unburned at the start of its round, whose
+        radius-(k-i) balls (i the 1-based round) cover the graph, or None.
 
-        Position i (1-based) contributes the radius-(k-i) ball to the final
-        burned set and the radius-(k-1-i) ball to the set burned one round
-        earlier.  A prefix is pruned when its balls plus the largest balls
-        any remaining positions could contribute cannot cover the graph, or
-        when the graph is already covered one round early (the process would
-        terminate before round k).
+        A prefix is pruned when its balls plus the largest balls any
+        remaining positions could contribute cannot cover the graph.
         """
         ball_now = [self.balls(k - i) for i in range(1, k + 1)]
-        ball_prev = [self.balls(k - 1 - i) for i in range(1, k + 1)]
         max_gain = [max(m.bit_count() for m in masks) for masks in ball_now]
         # Suffix sums: best possible coverage from positions i+1..k.
         rest = [0] * (k + 1)
@@ -127,17 +122,12 @@ class _Search:
 
         chosen: list[int] = []
 
-        def extend(covered: int, covered_prev: int) -> Optional[tuple[int, ...]]:
+        def extend(covered: int) -> Optional[tuple[int, ...]]:
             i = len(chosen)
             if i == k:
                 self.nodes += 1
-                if covered == self.full and covered_prev != self.full:
-                    return tuple(chosen)
-                return None
+                return tuple(chosen) if covered == self.full else None
             if covered.bit_count() + rest[i] < self.n:
-                return None
-            if covered_prev == self.full:
-                # Already fully burned one round early; no extension is valid.
                 return None
             for v in self.order:
                 ok = True
@@ -151,13 +141,13 @@ class _Search:
                 if self.nodes > NODE_BUDGET:
                     raise _over_budget()
                 chosen.append(v)
-                found = extend(covered | ball_now[i][v], covered_prev | ball_prev[i][v])
+                found = extend(covered | ball_now[i][v])
                 chosen.pop()
                 if found is not None:
                     return found
             return None
 
-        return extend(0, 0)
+        return extend(0)
 
 
 class _TreeSearch:
@@ -271,19 +261,6 @@ def _burning_number_general(g: Graph) -> ExactResult:
     """burning_number by the general search, whatever the graph's shape."""
     _require_connected(g)
     return _solve(g, _Search(g))  # distances and ball masks shared across all k
-
-
-def burnable_within(g: Graph, k: int) -> Optional[BurningSequence]:
-    """A valid burning sequence of length exactly k, or None if none exists."""
-    _require_connected(g)
-    if k < 1:
-        raise ValueError("k must be positive")
-    found = _Search(g).find(k)
-    if found is None:
-        return None
-    seq = BurningSequence(found)
-    validate_sequence(g, seq)  # the search result is never trusted blindly
-    return seq
 
 
 def burning_number(g: Graph) -> ExactResult:

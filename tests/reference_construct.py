@@ -3,10 +3,10 @@
 This is the per-level rebuild that construct ran before it kept one
 working tree: every level is its own dense-id Tree, the separator and the
 heavy branch come from find_separator, the smoothed branch from
-induced_subtree + smooth, and the small-tree witness from burnable_within
-at k = 1, 2, ...  Each level also keeps its map to t's ids, in which the
-trace rows name vertices.  Only the greedy burn of a level,
-engine._transport, is shared with construct.  Tests compare its
+induced_subtree + smooth, and the small-tree witness from the general
+search's first cover at k = 1, 2, ...  Each level also keeps its map to
+t's ids, in which the trace rows name vertices.  Only the greedy burn of a
+level, engine._transport, is shared with construct.  Tests compare its
 certificates with construct_no_deg2's, field for field.
 """
 
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from treeburn import (
     BurningSequence,
-    burnable_within,
     ceil_sqrt,
     find_separator,
     induced_subtree,
@@ -25,6 +24,7 @@ from treeburn import (
 )
 from treeburn.construct import EXACT_FALLBACK_N, BoundCertificate
 from treeburn.engine import _transport
+from treeburn.exact import _Search
 
 
 _WITNESSES: dict = {}
@@ -35,9 +35,11 @@ def exact_witness(tree) -> BurningSequence:
     the exhaustive tests meet the same small trees many times."""
     seq = _WITNESSES.get(tree.adjacency)
     if seq is None:
-        k = 1
-        while (seq := burnable_within(tree, k)) is None:
+        search, k = _Search(tree), 1
+        while (found := search.find(k)) is None:
             k += 1
+        seq = BurningSequence(found)
+        validate_sequence(tree, seq)
         _WITNESSES[tree.adjacency] = seq
     return seq
 

@@ -54,7 +54,7 @@ def test_02_four_path_burns_in_two_rounds_from_sources_1_and_3():
     t0 = time.perf_counter()
     labeling = validate_sequence(gen_path(4), BurningSequence((1, 3)))
     assert labeling.total_rounds == 2
-    assert labeling.as_dict() == {0: 2, 1: 1, 2: 2, 3: 2}
+    assert dict(enumerate(labeling.labels)) == {0: 2, 1: 1, 2: 2, 3: 2}
     report("order-4 path burns in 2 rounds with labels {1:1,0:2,2:2,3:2}", t0)
 
 

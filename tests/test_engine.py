@@ -92,7 +92,7 @@ class TestValidateSequence:
     def test_two_source_pair(self):
         lab = validate_sequence(gen_path(4), BurningSequence((1, 3)))
         assert lab.total_rounds == 2
-        assert lab.as_dict() == {0: 2, 1: 1, 2: 2, 3: 2}
+        assert dict(enumerate(lab.labels)) == {0: 2, 1: 1, 2: 2, 3: 2}
 
     def test_too_short(self):
         with pytest.raises(LengthMismatch) as exc:

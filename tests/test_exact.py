@@ -1,8 +1,8 @@
 import pytest
 
 from treeburn import (
+    BurningSequence,
     bfs_distances,
-    burnable_within,
     burning_number,
     burning_number_naive,
     build_graph,
@@ -20,24 +20,28 @@ from treeburn import (
 )
 from treeburn import exact
 from treeburn.errors import NotConnected, SearchBudgetExceeded, TooLarge
-from treeburn.exact import _burning_number_general
+from treeburn.exact import _burning_number_general, _Search
 from treeburn.rng import SplitMix64
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 class TestBurnableWithin:
+    """Burnable within k rounds, as the general search decides it:
+    _Search.find(k) returns k sources, each unburned at the start of its
+    round, whose radius-(k-i) balls cover the graph, or None."""
+
     def test_path4_within_two(self):
-        seq = burnable_within(gen_path(4), 2)
-        assert seq is not None
-        assert validate_sequence(gen_path(4), seq).total_rounds == 2
+        found = _Search(gen_path(4)).find(2)
+        assert found is not None
+        assert validate_sequence(gen_path(4), BurningSequence(found)).total_rounds == 2
 
     def test_path4_not_within_one(self):
-        assert burnable_within(gen_path(4), 1) is None
+        assert _Search(gen_path(4)).find(1) is None
 
     def test_double_star_not_within_two(self):
         d = gen_double_star(2, 2)
-        assert burnable_within(d, 2) is None
+        assert _Search(d).find(2) is None
         # independent recheck: two sources reach at most N[x1] plus x2 itself,
         # which never covers all 6 vertices
         best = max(
@@ -49,8 +53,23 @@ class TestBurnableWithin:
         assert best == 5
 
     def test_disconnected(self):
+        # the general path's connectivity check
         with pytest.raises(NotConnected):
-            burnable_within(build_graph(4, [(0, 1), (2, 3)]), 2)
+            burning_number(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_agrees_with_the_enumerator_at_b_and_below(self):
+        # _solve calls find only for k <= b, where a cover by k sources is
+        # a burning sequence of length exactly k and none exists below b
+        graphs = [gen_cycle(n) for n in range(3, 11)]
+        graphs += [t for n in range(1, 7) for t in labeled_trees(n)]
+        graphs += list(_trees_plus_chords(60, orders=range(5, 11)))
+        for g in graphs:
+            b = burning_number_naive(g).burning_number
+            search = _Search(g)
+            if b > 1:
+                assert search.find(b - 1) is None
+            found = search.find(b)
+            assert validate_sequence(g, BurningSequence(found)).total_rounds == b
 
 
 class TestBurningNumber:
@@ -73,7 +92,7 @@ class TestBurningNumber:
             res = burning_number(t)
             assert validate_sequence(t, res.witness).total_rounds == res.burning_number
             if res.burning_number > 1:
-                assert burnable_within(t, res.burning_number - 1) is None
+                assert _Search(t).find(res.burning_number - 1) is None
 
 
 class TestBurningNumberNaive:
@@ -108,11 +127,11 @@ class TestBurningNumberNaive:
             )
 
 
-def _trees_plus_chords(count: int):
-    """Seeded random trees of order 5-8 plus 1-3 chords: connected graphs
-    with cycles."""
+def _trees_plus_chords(count: int, orders=range(5, 9)):
+    """Seeded random trees of the given orders (5-8 by default) plus 1-3
+    chords: connected graphs with cycles."""
     for i in range(count):
-        n = 5 + (i % 4)
+        n = orders[i % len(orders)]
         t = gen_random_tree(n, 2300 + i)
         rng = SplitMix64(2700 + i)
         edges = set(t.edges())
@@ -211,7 +230,8 @@ class TestSolve:
         chorded = [g for g in _trees_plus_chords(40) if g.edge_count() >= g.n]
         for g in [gen_cycle(n) for n in range(3, 20)] + chorded:
             res = burning_number(g)
-            assert res.witness == burnable_within(g, res.burning_number)
+            found = _Search(g).find(res.burning_number)
+            assert res.witness == BurningSequence(found)
 
 
 class TestNodeBudget:
