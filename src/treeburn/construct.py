@@ -6,13 +6,15 @@ designated heavy edge, burning the small branches by plain propagation from
 v, and descending into the one remaining branch after smoothing its root
 away.  Arbitrary trees are first made degree-2-free by grafting a leaf onto
 every degree-2 vertex, and the sequence found on the grafted tree is
-projected back.  Lifting and projection are one transport step: map the
-sources, burn greedily, fill the empty rounds canonically and check a
-length bound (one round more for a lift, none for a projection).
+projected back.  The projection is a transport step: map the sources,
+burn greedily, fill the empty rounds canonically and check a length bound.
 
 Every level lives in one mutable working tree in the grafted tree's ids:
 going down, a level edits O(deg) adjacency entries and logs their former
-lists; going up, the log restores each level before its burn.
+lists; going up, the log restores each level, and the level is relabelled,
+not burned: one label array serves every level, and a level changes only
+the labels of its new vertices and of those its separator's fire reaches
+sooner (_LevelLabels).  Only the innermost tree gets a burn of its own.
 find_separator, smooth and lift_sequence are the per-level steps on a
 Tree of their own, kept as test oracles.
 
@@ -25,10 +27,17 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Mapping, Sequence, Union
 
 from .bounds import ceil_sqrt, margin, refined_bound
-from .engine import BurningSequence, RoundLabeling, _transport, validate_sequence
+from .engine import (
+    BurningSequence,
+    RoundLabeling,
+    _burn,
+    _transport,
+    validate_sequence,
+)
 from .errors import (
     DegreeTooSmall,
     InternalBoundViolation,
@@ -169,7 +178,7 @@ def lift_sequence(
     leaves are the vertices it misses.  The leaf ignites in round 1; each
     original source follows one round late; if the fire reached it first,
     its round gets the lowest-id vertex burning in it instead.  A test
-    oracle: construct lifts inside its own level burns.
+    oracle: construct lifts by relabelling its working tree (_LevelLabels).
     """
     if not (0 <= v < t.n and 0 <= u < t.n):
         raise StructureMismatch("u and v must be vertices of t")
@@ -184,7 +193,7 @@ def lift_sequence(
         raise StructureMismatch("sources must be vertices of the smoothed tree")
 
     proposals = [v] + [to_parent[s] for s in seq_prime.sources]
-    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)[0]
+    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)
 
 
 class _WorkingTree:
@@ -196,8 +205,7 @@ class _WorkingTree:
     its lowest-id leaf, which no level removes (smoothing keeps the two
     lowest leaf neighbors as path ends), so parent and subtree size are kept
     up to date instead of recomputed.  Removed vertices stay in adj, cut off
-    from the root: the current level is the root's component.  light[x] is
-    the level on whose light side x lies (-1 if none).
+    from the root: the current level is the root's component.
     """
 
     def __init__(self, t: Tree):
@@ -215,7 +223,6 @@ class _WorkingTree:
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
         self.adj, self.root, self.parent, self.size = adj, root, parent, size
-        self.light = [-1] * n
 
     def subtree(self, v: int) -> list[int]:
         """v and its descendants, v first."""
@@ -241,13 +248,7 @@ class _WorkingTree:
             else:
                 return v
 
-    def cut(self, v: int, level: int) -> None:
-        """Mark all of v's subtree but v light at level."""
-        light = self.light
-        for x in self.subtree(v)[1:]:
-            light[x] = level
-
-    def smooth(self, v: int, level: int) -> list[tuple[int, list[int]]]:
+    def smooth(self, v: int) -> list[tuple[int, list[int]]]:
         """Descend from the level's tree into its smoothed heavy branch:
         cut v's subtree and smooth its parent w away, as smooth(t, w) would
         in the branch.  Returns the undo log, each touched vertex with its
@@ -281,12 +282,147 @@ class _WorkingTree:
         while x != -1:
             size[x] -= removed
             x = parent[x]
-        self.cut(v, level)
         return undo
 
     def restore(self, undo: list[tuple[int, list[int]]]) -> None:
         for x, nbrs in undo:
             self.adj[x] = nbrs
+
+
+class _LevelLabels:
+    """Every level's burn, relabelled level by level on the way up.
+
+    A level's tree T has separator v, heavy neighbor w, and one level down
+    the smoothed heavy branch T' with canonical sequence s'_1, ..., s'_k and
+    labels L'.  The level burns the proposals v, s'_1, ..., s'_k greedily,
+    and its labels are
+
+        L(x) = min(L'(x) + 1, 1 + d_T(v, x))  for x in T',
+        L(x) = 1 + d_T(v, x)                  for v, its light side, w and
+                                              the surplus leaves.
+
+    Why: v burns in round 1, w in round 2 and every neighbor of w by round
+    3.  A fire route through w, or across T''s stitched path, reaches a
+    neighbor of w no earlier than round 3, so v's fire dominates it.  Inside
+    one component of the heavy branch minus w, distances in T and in T'
+    agree, so every other route arrives one round later than in T'.  A
+    source the fire beats still burns, only sooner, and everything its own
+    fire would reach, the fire that beat it reaches no later.  Hence s'_i
+    is kept iff L(s'_i) = i + 1, that is iff the level does not lower its
+    label.
+
+    Labels change by at most 1 along an edge, and every edge of T between
+    vertices of T' is an edge of T'.  So if 1 + d_T(v, x) improves on
+    L'(x) + 1, it improves on the label of x's neighbor towards v too,
+    unless that neighbor is w: a BFS from v that goes no further than a
+    vertex it does not improve finds every improved vertex.
+
+    One label array serves all levels, in rounds below the top: G(x) =
+    L(x) + level, so a label the level does not lower keeps its G, and a
+    level's round r is G = level + r.  src[g] is the source of that round;
+    the current level's sequence is src[level + 1 .. end].  Each empty round
+    gets the lowest id burning in it: from the part (v and the heavy
+    branch) up to the round that burns the last of it, from the light side
+    after that.  The part's candidates sit in lazy min-heaps per G (a label
+    only falls, so an entry whose vertex moved on stays stale), count[g]
+    counts them, and the light side joins them when its level is done.
+    """
+
+    def __init__(
+        self, order: int, depth: int, rounds: int, inner, inner_labels, sources
+    ):
+        """The innermost tree at level depth: inner[i] burns in round
+        inner_labels[i] of sources.  rounds bounds every level's round
+        count, and order the ids."""
+        size = depth + rounds + 2
+        self.labels = labels = [0] * order
+        self.src: list = [None] * size
+        self.count = count = [0] * size
+        self.heaps: list[list[int]] = [[] for _ in range(size)]
+        for x, r in zip(inner, inner_labels):
+            labels[x] = g = r + depth
+            count[g] += 1
+            heappush(self.heaps[g], x)
+        self.end = depth + len(sources)
+        self.src[depth + 1 : self.end + 1] = sources
+
+    def lift(
+        self, adj: Sequence[Sequence[int]], level: int, v: int, w: int, target: int
+    ) -> int:
+        """Relabel from the level below to this level's tree, the component
+        of v in adj, and return its round count."""
+        labels, src, count, heaps = self.labels, self.src, self.count, self.heaps
+        end = self.end
+        if end - level - 1 > target - 1:
+            raise InternalBoundViolation(
+                f"branch sequence length {end - level - 1} > {target - 1}"
+            )
+        g = level + 1
+        labels[v] = g
+        src[g] = v
+        count[g] += 1
+        heappush(heaps[g], v)
+        light = []  # v's light side, by distance from v
+        layer = [x for x in adj[v] if x != w]
+        while layer:
+            g += 1
+            for x in layer:
+                labels[x] = g
+            light.append(layer)
+            layer = [y for x in layer for y in adj[x] if not labels[y]]
+        emptied = []  # rounds whose source the fire now beats
+        layer, g = [v], level + 1
+        while layer:
+            g += 1
+            heap, reached = heaps[g], []
+            for x in layer:
+                for y in adj[x]:
+                    old = labels[y]
+                    if old and old <= g:
+                        continue
+                    if old:
+                        count[old] -= 1
+                        if src[old] == y:
+                            emptied.append(old)
+                    labels[y] = g
+                    heappush(heap, y)
+                    reached.append(y)
+            count[g] += len(reached)
+            layer = reached
+        # the part's last round: T''s, or round 3 if w's surplus leaves
+        # burn later than all of T'
+        top = max(end, level + 3)
+        while not count[top]:
+            top -= 1
+        if top > end:
+            raise InternalBoundViolation(
+                f"heavy branch took {top - level} rounds, bound {end - level}"
+            )
+        last = max(top, level + 1 + len(light))
+        if last - level > target:
+            raise InternalBoundViolation(
+                f"assembled process took {last - level} rounds, target {target}"
+            )
+        for r in (*emptied, *range(end + 1, last + 1)):
+            if r > top:
+                if r <= last:
+                    src[r] = min(light[r - level - 2])
+                continue
+            heap = heaps[r]
+            while labels[heap[0]] != r:
+                heappop(heap)
+            src[r] = heap[0]
+        for r, layer in enumerate(light, level + 2):
+            count[r] += len(layer)
+            heap = heaps[r]
+            for x in layer:
+                heappush(heap, x)
+        self.end = last
+        return last - level
+
+    def sequence(self) -> BurningSequence:
+        """The outermost level's sequence."""
+        return BurningSequence(tuple(self.src[1 : self.end + 1]))
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
@@ -298,7 +434,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
     away before descending into it with a reduced margin (a one-vertex
     branch is burned by that vertex alone).  The innermost sequence is then
     lifted back up level by level while the light branches burn by
-    propagation.  Preconditions and the final sequence are checked once, on
+    propagation; each lift relabels only what its level changes
+    (_LevelLabels).  Preconditions and the final sequence are checked once, on
     t; levels check only lengths.  Every level is a state of one
     _WorkingTree, in t's ids.
     """
@@ -314,7 +451,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
 
     work = _WorkingTree(t)
     rows: list[dict] = []
-    frames = []  # (level, v, undo log, order, row), outermost first
+    frames = []  # (level, v, heavy, undo log, row), outermost first
     n, level_m = t.n, m
     while True:
         target = ceil_sqrt(n - level_m)
@@ -331,16 +468,17 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         if n <= EXACT_FALLBACK_N:
             # the general search, not burning_number's tree search: this
             # witness feeds the lift, and the goldens pin what results
-            alive = sorted(work.subtree(work.root))
-            local = {x: i for i, x in enumerate(alive)}
-            small = Tree(tuple(tuple(local[y] for y in work.adj[x]) for x in alive))
+            inner = sorted(work.subtree(work.root))
+            local = {x: i for i, x in enumerate(inner)}
+            small = Tree(tuple(tuple(local[y] for y in work.adj[x]) for x in inner))
             witness = _burning_number_general(small).witness
             if len(witness) > target:
                 raise InternalBoundViolation(
                     f"exact solve gave {len(witness)} > target {target}"
                 )
-            seq = BurningSequence(tuple(alive[s] for s in witness.sources))
-            row["length"] = len(seq)
+            inner_labels = _burn(small.adjacency, n, witness.sources, False)[1]
+            sources = [inner[s] for s in witness.sources]
+            row["length"] = len(sources)
             break
 
         m_eff = level_m
@@ -358,34 +496,24 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         level = len(frames)
         if n - work.size[v] == 1:  # the heavy branch is the root alone
             row["step"] = "pendant"
-            work.cut(v, level)
-            frames.append((level, v, [], n, row))
-            seq = BurningSequence((heavy,))
+            frames.append((level, v, heavy, [], row))
+            inner, inner_labels, sources = [heavy], [1], [heavy]
             break
         row["step"] = "smooth"
-        frames.append((level, v, work.smooth(v, level), n, row))
+        frames.append((level, v, heavy, work.smooth(v), row))
         n = work.size[work.root]
         level_m = m_eff - 1 if m_eff >= 1 and n > m_eff * m_eff else 0
 
-    light = work.light
-    for level, v, undo, n, row in reversed(frames):
+    labels = _LevelLabels(
+        t.n, len(frames), max(row["target"] for row in rows),
+        inner, inner_labels, sources,
+    )
+    for level, v, heavy, undo, row in reversed(frames):
         work.restore(undo)
-        target = row["target"]
-        if len(seq) > target - 1:
-            raise InternalBoundViolation(
-                f"branch sequence length {len(seq)} > {target - 1}"
-            )
         # the heavy branch plus v meets the light side only at v, which
         # burns in round 1, so the branch's sequence lifts one round late
-        seq, total_rounds = _transport(
-            work.adj, n, [v, *seq.sources], len(seq) + 1,
-            lambda x: light[x] != level,
-        )
-        if total_rounds > target:
-            raise InternalBoundViolation(
-                f"assembled process took {total_rounds} rounds, target {target}"
-            )
-        row["length"] = len(seq)
+        row["length"] = labels.lift(work.adj, level, v, heavy, row["target"])
+    seq = labels.sequence()
 
     labeling = validate_sequence(t, seq)
     return BoundCertificate(t, t.n, 0, m, rows[0]["target"], seq, labeling, tuple(rows))
@@ -406,7 +534,7 @@ def project_to_subtree(
     proposals = [attach.get(y, y) for y in seq.sources]
     if not all(0 <= x < t.n for x in proposals):
         raise StructureMismatch("a source is neither a vertex of t nor a grafted leaf")
-    return _transport(t.adjacency, t.n, proposals, len(seq))[0]
+    return _transport(t.adjacency, t.n, proposals, len(seq))
 
 
 def construct_general(t: Tree) -> BoundCertificate:

@@ -14,7 +14,7 @@ source), and round 1 must name a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     InternalBoundViolation,
@@ -60,8 +60,9 @@ def _burn(
     rounds: Sequence[Optional[int]],
     strict: bool,
 ) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
-    """The round loop shared by simulate, greedy_schedule and construct's
-    level burns: run the process on adjacency until count vertices burn.
+    """The round loop shared by simulate, greedy_schedule, the transport
+    step and construct's innermost tree: run the process on adjacency until
+    count vertices burn.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise.  Returns the
@@ -70,8 +71,7 @@ def _burn(
     each round burned.
 
     count is the order of a connected graph, or the order of the component
-    the sources lie in (construct burns one level's tree inside a larger
-    adjacency).  Every round burns some vertex until the last, so a round
+    of adjacency the sources lie in.  Every round burns some vertex until the last, so a round
     that burns none raises NotConnected instead of looping forever.
     """
     n = len(adjacency)
@@ -171,38 +171,26 @@ def _transport(
     count: int,
     proposals: Sequence[Optional[int]],
     bound: int,
-    in_part: Optional[Callable[[int], bool]] = None,
-) -> tuple[BurningSequence, int]:
+) -> BurningSequence:
     """The greedy burn of proposals over the count vertices adjacency
-    connects them to, canonicalized, and its round count: how construct
-    lifts and projects, how the exact searches get their witnesses, and how
-    canonicalize fills empty rounds.
+    connects them to, canonicalized: how construct projects, how the exact
+    searches get their witnesses, and how canonicalize fills empty rounds.
 
-    A proposal the fire beat drops out.  The part -- the burned vertices
-    in_part holds for, every one if in_part is None -- must burn within
-    bound rounds.  Each empty round gets the lowest-id vertex burning in it:
-    from the part up to the round that burns the last of the part, from
-    every burned vertex after that."""
+    A proposal the fire beat drops out, and each empty round gets the
+    lowest-id vertex burning in it.  The burn must end within bound rounds.
+    """
     kept, _, layers = _burn(adjacency, count, proposals, False)
-    part_rounds = len(layers)
-    if in_part is not None:
-        while not any(map(in_part, layers[part_rounds - 1])):
-            part_rounds -= 1
-    if part_rounds > bound:
+    if len(layers) > bound:
         raise InternalBoundViolation(
-            f"transport took {part_rounds} rounds, bound {bound}"
+            f"transport took {len(layers)} rounds, bound {bound}"
         )
-    seq = [
-        s if s is not None
-        else min(layer) if in_part is None or r >= part_rounds
-        else min(filter(in_part, layer))
-        for r, (s, layer) in enumerate(zip(kept, layers))
-    ]
-    return BurningSequence(tuple(seq)), len(layers)
+    return BurningSequence(
+        tuple(min(layer) if s is None else s for s, layer in zip(kept, layers))
+    )
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process."""
     simulate(g, rounds)  # the strict check: every source unburned in its round
-    return _transport(g.adjacency, g.n, rounds, g.n)[0]
+    return _transport(g.adjacency, g.n, rounds, g.n)

@@ -250,7 +250,7 @@ def _solve(graph: Graph, search) -> ExactResult:
     k = search.lower
     while (proposals := search.find(k)) is None:
         k += 1
-    seq = _transport(graph.adjacency, graph.n, proposals, k)[0]
+    seq = _transport(graph.adjacency, graph.n, proposals, k)
     validate_sequence(graph, seq)  # the search result is never trusted blindly
     if len(seq) != k:
         raise InternalBoundViolation(f"search missed a sequence of length {len(seq)}")

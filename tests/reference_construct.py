@@ -5,9 +5,10 @@ working tree: every level is its own dense-id Tree, the separator and the
 heavy branch come from find_separator, the smoothed branch from
 induced_subtree + smooth, and the small-tree witness from the general
 search's first cover at k = 1, 2, ...  Each level also keeps its map to
-t's ids, in which the trace rows name vertices.  Only the greedy burn of a
-level, engine._transport, is shared with construct.  Tests compare its
-certificates with construct_no_deg2's, field for field.
+t's ids, in which the trace rows name vertices, and lifts by a greedy burn
+of its whole tree (engine._burn) with its own part-first fill of the empty
+rounds (lift).  Tests compare its certificates with construct_no_deg2's,
+field for field.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from treeburn import (
     validate_sequence,
 )
 from treeburn.construct import EXACT_FALLBACK_N, BoundCertificate
-from treeburn.engine import _transport
+from treeburn.engine import _burn
 from treeburn.exact import _Search
 
 
@@ -42,6 +43,26 @@ def exact_witness(tree) -> BurningSequence:
         validate_sequence(tree, seq)
         _WITNESSES[tree.adjacency] = seq
     return seq
+
+
+def lift(adjacency, count, proposals, bound, in_part):
+    """The greedy burn of proposals over the count vertices adjacency
+    connects them to, and its round count.  The part, the burned vertices
+    in_part holds for, must burn within bound rounds.  Each empty round
+    gets the lowest-id vertex burning in it: from the part up to the round
+    that burns the last of the part, from every burned vertex after that."""
+    kept, _, layers = _burn(adjacency, count, proposals, False)
+    part_rounds = max(
+        r for r, layer in enumerate(layers, 1) if any(map(in_part, layer))
+    )
+    assert part_rounds <= bound
+    seq = [
+        s if s is not None
+        else min(layer) if r > part_rounds
+        else min(filter(in_part, layer))
+        for r, (s, layer) in enumerate(zip(kept, layers), 1)
+    ]
+    return BurningSequence(tuple(seq)), len(layers)
 
 
 def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
@@ -94,7 +115,7 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
     for level, v, to_parent, light, row in reversed(frames):
         assert len(seq) <= row["target"] - 1
         proposals = [v] + [to_parent[s] for s in seq.sources]
-        seq, total_rounds = _transport(
+        seq, total_rounds = lift(
             level.adjacency, level.n, proposals, len(seq) + 1,
             lambda x: light[x] == 0,
         )

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
 
@@ -23,6 +24,7 @@ from treeburn import (
     degree2_census,
     find_separator,
     gen_double_star,
+    gen_full_binary,
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
@@ -45,6 +47,7 @@ from treeburn.errors import (
 )
 from treeburn.rng import SplitMix64
 
+from .reference_construct import lift as reference_lift
 from .reference_construct import reference_construct_no_deg2
 from .strategies import random_valid_schedule, trees
 
@@ -325,10 +328,9 @@ class TestConstructNoDeg2:
 
 
 class TestWorkPerLevel:
-    def test_two_burns_per_level_and_no_connectivity_pass_in_the_round_loop(
-        self, monkeypatch
-    ):
+    def test_constant_burns_and_no_connectivity_pass(self, monkeypatch):
         counts = {"burn": 0, "strict": 0, "connected": 0, "connected_in_burn": 0}
+        counts["burned"] = 0
         counts.update(build_graph=0, as_tree=0, component_vertices_beyond=0)
         counts.update(find_separator=0, smooth=0, tree=0)
         inside = []
@@ -337,6 +339,7 @@ class TestWorkPerLevel:
 
         def counting_burn(adjacency, count, rounds, strict):
             counts["burn"] += 1
+            counts["burned"] += count
             counts["strict"] += strict
             inside.append(1)
             try:
@@ -360,7 +363,8 @@ class TestWorkPerLevel:
             return wrapper
 
         t = gen_random_tree(1600, 0)
-        monkeypatch.setattr(engine, "_burn", counting_burn)
+        for module in (engine, construct):
+            monkeypatch.setattr(module, "_burn", counting_burn)
         monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
         monkeypatch.setattr(Tree, "__init__", counting_tree_init)
         # every binding of the checked constructors and of the per-level
@@ -375,11 +379,13 @@ class TestWorkPerLevel:
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
         assert len(levels) >= 20 and len(exact_rows) == 1
-        # one lift per level, one projection and the exact witness's
-        # transport; the strict burns are the exact search's witness check
-        # and the final validations of construct_no_deg2 and
-        # construct_general, whatever the level count
-        assert counts["burn"] <= len(levels) + 5
+        # the levels are relabelled, not burned: whatever the level count,
+        # the burns are the exact witness's transport and check, the
+        # innermost tree's labels, the projection, and the final
+        # validations of construct_no_deg2 and construct_general, and the
+        # vertices they burn stay within a small multiple of the order
+        assert counts["burn"] <= 6
+        assert counts["burned"] <= 4 * cert.trace[0]["order"]
         assert counts["strict"] <= 4
         assert counts["connected_in_burn"] == 0
         # derived trees are built without a check, and a Tree trusts its
@@ -392,6 +398,74 @@ class TestWorkPerLevel:
         assert counts["component_vertices_beyond"] == 0
         assert counts["find_separator"] == counts["smooth"] == 0
         assert counts["tree"] <= 2
+
+
+def reach(adj, v, w):
+    """The vertices adjacency connects to v without passing w."""
+    found, seen = [v], {v, w}
+    for x in found:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
+
+
+class TestLevelLabels:
+    """Every level's relabelled labels against a greedy burn of the level's
+    whole tree, and its sequence against the reference loop's lift."""
+
+    @staticmethod
+    @contextmanager
+    def checked_levels():
+        """Check every level lifted inside the block; yields the levels."""
+        relabel, levels = construct._LevelLabels.lift, []
+
+        def checked(labels, adj, level, v, w, target):
+            proposals = [v, *labels.src[level + 2 : labels.end + 1]]
+            rounds = relabel(labels, adj, level, v, w, target)
+            light = set(reach(adj, v, w))  # v and its light side
+            tree = reach(adj, v, None)  # the level's tree, restored
+            _, burned, _ = engine._burn(adj, len(tree), proposals, False)
+            assert [labels.labels[x] - level for x in tree] == [burned[x] for x in tree]
+            seq, total = reference_lift(
+                adj, len(tree), proposals, len(proposals),
+                lambda x: x == v or x not in light,
+            )
+            assert rounds == total
+            assert tuple(labels.src[level + 1 : level + 1 + rounds]) == seq.sources
+            levels.append(level)
+            return rounds
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct._LevelLabels, "lift", checked)
+            yield levels
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees(min_n=1, max_n=80))
+    def test_grafted_trees_at_every_margin(self, base):
+        t, _ = augment_degree2(base)
+        assume(t.n <= 150)
+        with self.checked_levels():
+            m = 0
+            while t.n >= m * (m + 1) + 1:
+                construct_no_deg2(t, m)
+                m += 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_labeled_tree(self, n):
+        with self.checked_levels() as levels:
+            for base in labeled_trees(n):
+                construct_general(base)
+        assert levels or n < 6
+
+    def test_paths_and_full_binary_trees(self):
+        with self.checked_levels() as levels:
+            for n in (*range(1, 60), 800, 1600):
+                construct_general(gen_path(n))
+            for h in range(1, 10):
+                construct_general(gen_full_binary(h))
+        assert max(levels) >= 10  # the corpus reaches deep levels
 
 
 class TestAgainstRebuildPerLevel:

@@ -14,8 +14,12 @@ distinguishable from a sequence change.
 
     python tools/scale_construct.py --label after
     python tools/scale_construct.py --src ../other-checkout/src --label before
+    python tools/scale_construct.py --check
 
 --src picks the checkout whose treeburn is imported (default: this one's).
+--check reruns the sizes up to CHECK_MAX_N, compares each tree's
+sequence_sha256 and cert_sha256 with the last record, writes nothing, and
+exits 1 on a mismatch.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1600, 6400, 25600, 102400)
+CHECK_MAX_N = 6400
+HASHES = ("sequence_sha256", "cert_sha256")
 OUT = ROOT / "BENCH_construct.json"
 PHASES = ("construct_s", "dump_s", "verify_s")
 
@@ -85,10 +91,30 @@ def exponents(rows) -> dict:
     }
 
 
+def check(treeburn, certs, trees) -> int:
+    """Compare the hashes at sizes up to CHECK_MAX_N with the last record."""
+    last = json.loads(OUT.read_text())[-1]
+    failed = 0
+    for kind, make in trees.items():
+        for want in last["results"][kind]["runs"]:
+            if want["n"] > CHECK_MAX_N:
+                continue
+            got = measure(treeburn, certs, make(want["n"]))
+            for key in HASHES:
+                same = got[key] == want[key]
+                failed |= not same
+                print(kind, want["n"], key, "ok" if same else
+                      f"MISMATCH: {got[key]} against {want[key]} "
+                      f"({last['label']} {last['revision']})")
+    return int(failed)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--label", required=True)
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--label")
+    group.add_argument("--check", action="store_true")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
@@ -97,6 +123,8 @@ def main(argv=None) -> int:
 
     trees = {"random-tree": lambda n: treeburn.gen_random_tree(n, 0),
              "path": treeburn.gen_path}
+    if args.check:
+        return check(treeburn, certs, trees)
     results = {}
     for kind, make in trees.items():
         rows = []
