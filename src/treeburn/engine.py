@@ -71,8 +71,9 @@ def _burn(
     each round burned.
 
     count is the order of a connected graph, or the order of the component
-    of adjacency the sources lie in.  Every round burns some vertex until the last, so a round
-    that burns none raises NotConnected instead of looping forever.
+    of adjacency the sources lie in.  Every round burns some vertex until
+    the last, so a round that burns none raises NotConnected instead of
+    looping forever.
     """
     n = len(adjacency)
     if not rounds or rounds[0] is None:
