@@ -43,7 +43,10 @@ def document_from_certificate(
 
 
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """One line with sorted keys and no spaces, plus a newline.  Without an
+    indent json.dumps runs its C encoder; parsing gives the same document as
+    the indented layout of earlier releases, which still verifies."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class VerificationFailure(Exception):

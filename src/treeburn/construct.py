@@ -205,12 +205,14 @@ class _WorkingTree:
     its lowest-id leaf, which no level removes (smoothing keeps the two
     lowest leaf neighbors as path ends), so parent and subtree size are kept
     up to date instead of recomputed.  Removed vertices stay in adj, cut off
-    from the root: the current level is the root's component.
+    from the root: the current level is the root's component.  adj starts
+    out holding the input's own neighbor tuples: smooth puts a fresh list in
+    every slot it edits before editing it, so the input is never written.
     """
 
     def __init__(self, t: Tree):
         n = t.n
-        adj = [list(a) for a in t.adjacency]
+        adj = list(t.adjacency)
         root = next((x for x in range(n) if len(adj[x]) == 1), 0)
         parent = [-1] * n
         order = [root]

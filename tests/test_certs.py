@@ -57,6 +57,51 @@ class TestFlatTrace:
         assert verify_document(doc)["ok"] is True
 
 
+class TestCompactDump:
+    """dump_document writes one line; the parsed document is the one the
+    indented layout of earlier releases held."""
+
+    DOCS = [
+        document_from_certificate(construct_general(gen_random_tree(200, 7)), seed=7),
+        document_from_certificate(construct_general(gen_path(50))),
+    ]
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_one_line_that_parses_to_the_document(self, doc):
+        text = dump_document(doc)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == doc
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_keys_are_sorted(self, doc):
+        orders = []
+
+        def record(pairs):
+            orders.append([k for k, _ in pairs])
+            return dict(pairs)
+
+        json.loads(dump_document(doc), object_pairs_hook=record)
+        # the root, tree, labels, bound_table and every trace row
+        assert len(orders) == 4 + len(doc["trace"])
+        assert all(keys == sorted(keys) for keys in orders)
+
+    def test_indented_layout_still_verifies(self, tmp_path):
+        doc = json.loads(dump_document(self.DOCS[0]))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", str(cert)]) == 0
+        assert json.loads(out.getvalue())["ok"] is True
+
+    def test_edited_label_fails(self):
+        doc = json.loads(dump_document(self.DOCS[0]))
+        doc["labels"]["0"] += 1
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(json.loads(dump_document(doc)))
+        assert failure.value.reason == "labels mismatch"
+
+
 class TestUntrustedTree:
     def test_claimed_order_is_not_allocated_before_checking(self):
         doc = {"tree": {"n": 2_000_000, "edges": []}}
