@@ -8,8 +8,8 @@ from the last two orders, log(t2 / t1) / log(n2 / n1).  The record also
 holds the git revision of the checkout that was timed ("-dirty" when its
 tracked files differ from that commit), the Python version, each tree's
 level count, the sha256 of its sequence (json.dumps of the source list) and
-of its certificate (the bytes dump_document writes, as they are written), so
-two records show whether the sequences and the certificates stayed
+of its certificate as written (the bytes dump_document returns), so two
+records show whether the sequences and the certificates stayed
 byte-identical, and a trace or format change stays distinguishable from a
 sequence change.  A layout change alone (such as the one-line dump) changes
 every cert_sha256 and no sequence_sha256.
