@@ -18,8 +18,8 @@ sooner (_LevelLabels).  Only the innermost tree gets a burn of its own.
 find_separator, smooth and lift_sequence are the per-level steps on a
 Tree of their own, kept as test oracles.
 
-Every certificate is validated by simulation, once, before it is returned;
-a violated length bound raises InternalBoundViolation, never a wrong answer.
+Only construct_general's sequence is replayed, once, on the input tree; a
+violated length bound raises InternalBoundViolation, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Mapping, Sequence, Union
 
-from .bounds import ceil_sqrt, margin, refined_bound
+from .bounds import ceil_sqrt, margin
 from .engine import (
     BurningSequence,
     RoundLabeling,
@@ -59,7 +59,8 @@ EXACT_FALLBACK_N = 9
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A validated burning sequence together with the bound it witnesses.
+    """A burning sequence, its labeling and the bound it witnesses; only
+    construct_general's is validated, by simulation on tree.
 
     trace holds one flat row of scalars per level, outermost first: step
     ("exact", "pendant" or "smooth"), order, m, target, separator, heavy,
@@ -437,9 +438,9 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
     branch is burned by that vertex alone).  The innermost sequence is then
     lifted back up level by level while the light branches burn by
     propagation; each lift relabels only what its level changes
-    (_LevelLabels).  Preconditions and the final sequence are checked once, on
-    t; levels check only lengths.  Every level is a state of one
-    _WorkingTree, in t's ids.
+    (_LevelLabels); the outermost level's labels are the labeling, and no
+    burn replays the sequence.  Preconditions are checked once, on t; levels
+    check only lengths.  Every level is a state of one _WorkingTree, in t's ids.
     """
     count2, listing = degree2_census(t)
     if count2:
@@ -516,8 +517,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         # burns in round 1, so the branch's sequence lifts one round late
         row["length"] = labels.lift(work.adj, level, v, heavy, row["target"])
     seq = labels.sequence()
-
-    labeling = validate_sequence(t, seq)
+    # at level 0 a stored G is the round itself
+    labeling = RoundLabeling(tuple(labels.labels), labels.end)
     return BoundCertificate(t, t.n, 0, m, rows[0]["target"], seq, labeling, tuple(rows))
 
 
@@ -549,19 +550,13 @@ def construct_general(t: Tree) -> BoundCertificate:
     t1, attach = augment_degree2(t)
     n2 = t1.n - n  # one leaf grafted per degree-2 vertex
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
-    target = refined_bound(n, n2)
     inner = construct_no_deg2(t1, m)
-    if inner.target != target:
-        raise InternalBoundViolation("augmented target disagrees with the bound")
+    # inner.target is refined_bound(n, n2) and bounds the projection's length
     seq = project_to_subtree(t, attach, inner.sequence)
-    if len(seq) > target:
-        raise InternalBoundViolation(
-            f"projected length {len(seq)} exceeds target {target}"
-        )
     labeling = validate_sequence(t, seq)
     trace = (
         {"step": "augment", "order": t1.n},
         *inner.trace,
         {"step": "project", "length": len(seq)},
     )
-    return BoundCertificate(t, n, n2, m, target, seq, labeling, trace)
+    return BoundCertificate(t, n, n2, m, inner.target, seq, labeling, trace)

@@ -159,7 +159,7 @@ def component_vertices_beyond(t: Tree, u: int, v: int) -> list[int]:
 
 def degree2_census(t: Tree) -> tuple[int, list[int]]:
     """Count and list (sorted) the degree-2 vertices."""
-    vs = [v for v in range(t.n) if t.degree(v) == 2]
+    vs = [v for v, nbrs in enumerate(t.adjacency) if len(nbrs) == 2]
     return len(vs), vs
 
 

@@ -130,6 +130,25 @@ class TestUntrustedTree:
         with pytest.raises(VerificationFailure, match="^malformed tree: "):
             verify_document(doc)
 
+    @pytest.mark.parametrize(
+        "edge, reason",
+        [
+            ([1, 2], "edge (1, 2) given twice"),
+            ([0, 0], "loop edge at vertex 0"),
+            ([0, 9], "edge (0, 9) outside 0..8"),
+            # n - 1 edges, closing the cycle 1..8 and leaving 0 isolated
+            ([1, 8], "graph with 9 vertices is not connected"),
+        ],
+        ids=["duplicate", "loop", "out-of-range", "cycle"],
+    )
+    def test_edges_must_form_a_tree(self, edge, reason):
+        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        assert doc["tree"]["edges"][:2] == [[0, 1], [1, 2]]
+        doc["tree"]["edges"][0] = edge
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == f"malformed tree: {reason}"
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing: mutated certificates fail with VerificationFailure, never another

@@ -1,10 +1,13 @@
 """Time construct, dump and verify at growing n; append a record to
 BENCH_construct.json.
 
-For each n in SIZES, on gen_random_tree(n, 0) and gen_path(n): one run of
-construct_general, of document_from_certificate + dump_document, and of
-json.loads + verify_document.  The scaling exponent of each phase is fitted
-from the last two orders, log(t2 / t1) / log(n2 / n1).  The record also
+For each n in SIZES, on gen_random_tree(n, 0) and gen_path(n): RUNS runs
+of construct_general, of document_from_certificate + dump_document, and of
+json.loads + verify_document.  Each phase records the median of its runs
+(construct_s, dump_s, verify_s) with the raw times beside it
+(construct_runs_s, ...), so one slow run does not move a record.  The
+scaling exponent of each phase is fitted from the last two orders' medians,
+log(t2 / t1) / log(n2 / n1).  The record also
 holds the git revision of the checkout that was timed ("-dirty" when its
 tracked files differ from that commit), the Python version, each tree's
 level count, the sha256 of its sequence (json.dumps of the source list) and
@@ -32,6 +35,7 @@ import hashlib
 import json
 import math
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +47,7 @@ CHECK_MAX_N = 6400
 HASHES = ("sequence_sha256", "cert_sha256")
 OUT = ROOT / "BENCH_construct.json"
 PHASES = ("construct_s", "dump_s", "verify_s")
+RUNS = 3
 
 
 def revision(src: Path) -> str:
@@ -64,17 +69,25 @@ def timed(fn, *args):
 
 
 def measure(treeburn, certs, tree) -> dict:
-    cert, construct_s = timed(treeburn.construct_general, tree)
-    text, dump_s = timed(
-        lambda c: certs.dump_document(certs.document_from_certificate(c)), cert
-    )
-    summary, verify_s = timed(lambda s: certs.verify_document(json.loads(s)), text)
-    assert summary["ok"] and summary["length"] == len(cert.sequence)
+    times = {phase: [] for phase in PHASES}
+    for _ in range(RUNS):
+        cert, construct_s = timed(treeburn.construct_general, tree)
+        text, dump_s = timed(
+            lambda c: certs.dump_document(certs.document_from_certificate(c)), cert
+        )
+        summary, verify_s = timed(
+            lambda s: certs.verify_document(json.loads(s)), text
+        )
+        assert summary["ok"] and summary["length"] == len(cert.sequence)
+        for phase, t in zip(PHASES, (construct_s, dump_s, verify_s)):
+            times[phase].append(t)
     levels = sum(row["step"] in ("smooth", "pendant", "exact") for row in cert.trace)
+    row = {}
+    for phase, runs in times.items():
+        row[phase] = round(statistics.median(runs), 4)
+        row[phase.replace("_s", "_runs_s")] = [round(t, 4) for t in runs]
     return {
-        "construct_s": round(construct_s, 4),
-        "dump_s": round(dump_s, 4),
-        "verify_s": round(verify_s, 4),
+        **row,
         "levels": levels,
         "length": len(cert.sequence),
         "sequence_sha256": hashlib.sha256(
