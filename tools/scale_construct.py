@@ -7,14 +7,13 @@ json.loads + verify_document.  Each phase records the median of its runs
 (construct_s, dump_s, verify_s) with the raw times beside it
 (construct_runs_s, ...), so one slow run does not move a record.  The
 scaling exponent of each phase is fitted from the last two orders' medians,
-log(t2 / t1) / log(n2 / n1).  The record also
-holds the git revision of the checkout that was timed ("-dirty" when its
-tracked files differ from that commit), the Python version, each tree's
-level count, the sha256 of its sequence (json.dumps of the source list) and
-of its certificate as written (the bytes dump_document returns), so two
-records show whether the sequences and the certificates stayed
-byte-identical, and a trace or format change stays distinguishable from a
-sequence change.  A layout change alone (such as the one-line dump) changes
+log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
+checkout that was timed ("-dirty" when its tracked files differ from that
+commit), the Python version, each tree's level count, the sha256 of its
+sequence (json.dumps of the source list) and of its certificate as written
+(the bytes dump_document returns), so two records show whether the
+sequences and the certificates stayed byte-identical, and a trace or format
+change stays distinguishable from a sequence change.  A layout change alone (such as the one-line dump) changes
 every cert_sha256 and no sequence_sha256.
 
     python tools/scale_construct.py --label after
