@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from . import __version__
-from .bounds import bound_table, margin, refined_bound
+from .bounds import bound_table
 from .construct import BoundCertificate
 from .engine import BurningSequence, validate_sequence
 from .graphs import Tree, as_tree, build_graph, degree2_census
@@ -91,10 +91,11 @@ def verify_document(doc: dict) -> dict:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
     n = tree.n
     n2, _ = degree2_census(tree)
+    bounds = bound_table(n, n2)
+    target = bounds.refined
     _check_claim(doc, "n", n, "order")
     _check_claim(doc, "n2", n2, "degree-2 count")
-    _check_claim(doc, "m", margin(n + n2), "margin")
-    target = refined_bound(n, n2)
+    _check_claim(doc, "m", bounds.m, "margin")
     _check_claim(doc, "target", target, "target")
     try:
         entries = tuple(doc["sequence"])
@@ -121,7 +122,7 @@ def verify_document(doc: dict) -> dict:
     ):
         raise VerificationFailure("labels mismatch")
     _check_claim(doc, "total_rounds", labeling.total_rounds, "round count")
-    expected = bound_table(n, n2).as_dict()
+    expected = bounds.as_dict()
     table = doc.get("bound_table")
     if table != expected or any(
         type(table[k]) is not type(v) for k, v in expected.items()

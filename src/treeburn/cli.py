@@ -445,10 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
+    except (ParseError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

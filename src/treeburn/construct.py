@@ -47,6 +47,7 @@ from .errors import (
 from .exact import _burning_number_general
 from .graphs import (
     Tree,
+    _bfs_tree,
     _require_vertices,
     augment_degree2,
     degree2_census,
@@ -106,17 +107,7 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> tuple[int, int, list[int
         raise PreconditionViolated(f"threshold {p} outside [1, {n - 1})")
 
     root = next(x for x in range(n) if t.degree(x) == 1)
-    parent = [-1] * n
-    parent[root] = root
-    order = []  # preorder: every subtree is a contiguous slice
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in t.neighbors(u):
-            if parent[w] == -1:
-                parent[w] = u
-                stack.append(w)
+    order, parent = _bfs_tree(t.adjacency, root)
     size = [1] * n
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]
@@ -129,8 +120,11 @@ def find_separator(t: Tree, p: Union[int, Fraction]) -> tuple[int, int, list[int
         if step is None:
             break
         v = step
-    lo = order.index(v)
-    return v, parent[v], sorted(order[:lo] + order[lo + size[v]:])
+    below = bytearray(n)  # v's subtree; BFS reaches it after v
+    below[v] = 1
+    for u in order[order.index(v) + 1:]:
+        below[u] = below[parent[u]]
+    return v, parent[v], [x for x in range(n) if not below[x]]
 
 
 def smooth(t: Tree, w: int) -> tuple[Tree, list[int]]:
@@ -215,26 +209,11 @@ class _WorkingTree:
         n = t.n
         adj = list(t.adjacency)
         root = next((x for x in range(n) if len(adj[x]) == 1), 0)
-        parent = [-1] * n
-        order = [root]
-        for u in order:
-            for x in adj[u]:
-                if x != parent[u]:
-                    parent[x] = u
-                    order.append(x)
+        order, parent = _bfs_tree(adj, root)
         size = [1] * n
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
         self.adj, self.root, self.parent, self.size = adj, root, parent, size
-
-    def subtree(self, v: int) -> list[int]:
-        """v and its descendants, v first."""
-        adj, parent = self.adj, self.parent
-        below = [v]
-        for x in below:
-            up = parent[x]
-            below += [y for y in adj[x] if y != up]
-        return below
 
     def separator(self, p: int) -> int:
         """find_separator's v for threshold p + 1/2: from the root's
@@ -471,7 +450,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         if n <= EXACT_FALLBACK_N:
             # the general search, not burning_number's tree search: this
             # witness feeds the lift, and the goldens pin what results
-            inner = sorted(work.subtree(work.root))
+            inner = sorted(_bfs_tree(work.adj, work.root)[0])
             local = {x: i for i, x in enumerate(inner)}
             small = Tree(tuple(tuple(local[y] for y in work.adj[x]) for x in inner))
             witness = _burning_number_general(small).witness

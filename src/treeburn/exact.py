@@ -50,7 +50,7 @@ from .errors import (
     SearchBudgetExceeded,
     TooLarge,
 )
-from .graphs import Graph, Tree, as_tree, bfs_distances, build_graph
+from .graphs import Graph, Tree, _bfs_tree, as_tree, bfs_distances, build_graph
 
 NAIVE_MAX_N = 12
 SPANNING_MAX_N = 8
@@ -156,14 +156,8 @@ class _TreeSearch:
 
     def __init__(self, tree: Tree):
         adjacency = tree.adjacency
-        order = [0]
-        parent = [-1] * tree.n
-        parent[0] = 0
-        for u in order:
-            for w in adjacency[u]:
-                if parent[w] < 0:
-                    parent[w] = u
-                    order.append(w)
+        order, parent = _bfs_tree(adjacency, 0)
+        parent[0] = 0  # in bit ids too, the root is its own parent
         bit = [0] * tree.n
         for i, v in enumerate(order):
             bit[v] = i

@@ -49,20 +49,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         n = self.n
-        if n == 0:
-            return False
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == n
+        return n > 0 and len(_bfs_tree(self.adjacency, 0)[0]) == n
 
 
 @dataclass(frozen=True)
@@ -122,6 +109,25 @@ def _require_vertices(g: Graph, *vs: int) -> None:
             raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
 
 
+def _bfs_tree(
+    adjacency: Sequence[Sequence[int]], root: int
+) -> tuple[list[int], list[int]]:
+    """BFS order of root's component, neighbors in adjacency order, and each
+    vertex's parent: -1 at the root and at every vertex not reached.  A
+    vertex is marked when first reached, so a cycle or a second component
+    never makes the search visit a vertex twice."""
+    parent = [-1] * len(adjacency)
+    parent[root] = root  # marks the root reached until the search ends
+    order = [root]
+    for u in order:
+        for w in adjacency[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    parent[root] = -1
+    return order, parent
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks unreachable vertices."""
     _require_vertices(g, source)
@@ -172,15 +178,11 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     on the original ids.  Grafting keeps a tree a tree, and each new id
     exceeds every old one, so appending it keeps the adjacency sorted.
     """
-    n = t.n
     adj = list(t.adjacency)
-    attach: dict[int, int] = {}
-    for w, nbrs in enumerate(t.adjacency):
-        if len(nbrs) == 2:
-            leaf = n + len(attach)
-            attach[leaf] = w
-            adj[w] = nbrs + (leaf,)
-            adj.append((w,))
+    attach = dict(enumerate(degree2_census(t)[1], t.n))
+    for leaf, w in attach.items():
+        adj[w] += (leaf,)
+        adj.append((w,))
     return Tree(tuple(adj)), attach
 
 

@@ -1,4 +1,5 @@
 import inspect
+import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -42,6 +43,7 @@ from treeburn import Tree, construct, engine, exact, graphs
 from treeburn.bounds import margin
 from treeburn.errors import (
     DegreeTooSmall,
+    InternalBoundViolation,
     PreconditionViolated,
     StructureMismatch,
 )
@@ -645,3 +647,52 @@ class TestConstructGeneral:
             assert exact <= len(cert.sequence) <= cert.target == refined_bound(
                 t.n, cert.n2
             )
+
+
+# Degree-2-free graphs with cycles: a Tree built by hand around one of them
+# breaks the type's promise, and construct must still end.
+CYCLIC = {
+    "K4": (4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "K3,3": (6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "Petersen": (
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+    ),
+}
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+@pytest.mark.parametrize(
+    "build",
+    [lambda t: construct_no_deg2(t, 0), construct_general],
+    ids=["no_deg2", "general"],
+)
+def test_cyclic_tree_type_ends(name, build):
+    """Every rooted pass marks a vertex once, so a cycle cannot keep one
+    going; a sequence that comes back still burns the graph."""
+    g = build_graph(*CYCLIC[name])
+    assert degree2_census(Tree(g.adjacency))[0] == 0
+    with deadline(2):
+        try:
+            cert = build(Tree(g.adjacency))
+        except (ValueError, InternalBoundViolation):
+            return
+    validate_sequence(g, cert.sequence)

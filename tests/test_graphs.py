@@ -30,6 +30,7 @@ from treeburn.errors import (
     NotConnected,
     VertexOutOfRange,
 )
+from treeburn.graphs import _bfs_tree
 
 from .strategies import trees
 
@@ -119,6 +120,20 @@ class TestAsTree:
         t = gen_path(5)
         assert t != t.graph
         assert t == Tree(t.adjacency)
+
+
+class TestBfsTree:
+    def test_small_tree_rooted_inside(self):
+        t = as_tree(build_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]))
+        assert _bfs_tree(t.adjacency, 1) == ([1, 0, 3, 4, 2, 5], [1, -1, 0, 1, 1, 2])
+
+    def test_cycle_and_isolated_vertex(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        order, parent = _bfs_tree(g.adjacency, 2)
+        assert order == [2, 1, 3, 0]  # 0 is reached once, from 1
+        assert parent == [1, 2, -1, 2, -1]
+        assert not g.is_connected()
+        assert build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).is_connected()
 
 
 def size_beyond(t, u, v):

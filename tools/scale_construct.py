@@ -2,10 +2,11 @@
 BENCH_construct.json.
 
 For each n in SIZES, on gen_random_tree(n, 0) and gen_path(n): RUNS runs
-of construct_general, of document_from_certificate + dump_document, and of
+of as_tree + parse_edge_list on the tree's formatted edge list, of
+construct_general, of document_from_certificate + dump_document, and of
 json.loads + verify_document.  Each phase records the median of its runs
-(construct_s, dump_s, verify_s) with the raw times beside it
-(construct_runs_s, ...), so one slow run does not move a record.  The
+(parse_s, construct_s, dump_s, verify_s) with the raw times beside it
+(parse_runs_s, ...), so one slow run does not move a record.  The
 scaling exponent of each phase is fitted from the last two orders' medians,
 log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
 checkout that was timed ("-dirty" when its tracked files differ from that
@@ -45,7 +46,7 @@ SIZES = (1600, 6400, 25600, 102400)
 CHECK_MAX_N = 6400
 HASHES = ("sequence_sha256", "cert_sha256")
 OUT = ROOT / "BENCH_construct.json"
-PHASES = ("construct_s", "dump_s", "verify_s")
+PHASES = ("parse_s", "construct_s", "dump_s", "verify_s")
 RUNS = 3
 
 
@@ -67,9 +68,14 @@ def timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def measure(treeburn, certs, tree) -> dict:
+def measure(treeburn, certs, cli, tree) -> dict:
     times = {phase: [] for phase in PHASES}
+    edge_list = cli.format_edge_list(tree)
     for _ in range(RUNS):
+        parsed, parse_s = timed(
+            lambda s: treeburn.as_tree(cli.parse_edge_list(s)), edge_list
+        )
+        assert parsed == tree
         cert, construct_s = timed(treeburn.construct_general, tree)
         text, dump_s = timed(
             lambda c: certs.dump_document(certs.document_from_certificate(c)), cert
@@ -78,7 +84,7 @@ def measure(treeburn, certs, tree) -> dict:
             lambda s: certs.verify_document(json.loads(s)), text
         )
         assert summary["ok"] and summary["length"] == len(cert.sequence)
-        for phase, t in zip(PHASES, (construct_s, dump_s, verify_s)):
+        for phase, t in zip(PHASES, (parse_s, construct_s, dump_s, verify_s)):
             times[phase].append(t)
     levels = sum(row["step"] in ("smooth", "pendant", "exact") for row in cert.trace)
     row = {}
@@ -105,7 +111,7 @@ def exponents(rows) -> dict:
     }
 
 
-def check(treeburn, certs, trees) -> int:
+def check(treeburn, certs, cli, trees) -> int:
     """Compare the hashes at sizes up to CHECK_MAX_N with the last record."""
     last = json.loads(OUT.read_text())[-1]
     failed = 0
@@ -113,7 +119,7 @@ def check(treeburn, certs, trees) -> int:
         for want in last["results"][kind]["runs"]:
             if want["n"] > CHECK_MAX_N:
                 continue
-            got = measure(treeburn, certs, make(want["n"]))
+            got = measure(treeburn, certs, cli, make(want["n"]))
             for key in HASHES:
                 same = got[key] == want[key]
                 failed |= not same
@@ -133,17 +139,17 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(args.src.resolve()))
     import treeburn
-    from treeburn import certs
+    from treeburn import certs, cli
 
     trees = {"random-tree": lambda n: treeburn.gen_random_tree(n, 0),
              "path": treeburn.gen_path}
     if args.check:
-        return check(treeburn, certs, trees)
+        return check(treeburn, certs, cli, trees)
     results = {}
     for kind, make in trees.items():
         rows = []
         for n in SIZES:
-            row = {"n": n, **measure(treeburn, certs, make(n))}
+            row = {"n": n, **measure(treeburn, certs, cli, make(n))}
             print(kind, json.dumps(row), flush=True)
             rows.append(row)
         results[kind] = {"runs": rows, "exponent": exponents(rows)}
