@@ -18,6 +18,12 @@ proposals greedily, dropping any the fire beat, and fills each empty round
 with the lowest-id vertex it burns; the witness is validated by
 simulation.  The general search's proposals pass through unchanged.
 
+The general search tries every vertex at every position, in order of
+eccentricity, largest first.  It builds every ball mask in one radius
+sweep, tests a candidate against one mask of the vertices already burned,
+and prunes a candidate whose balls plus the largest balls of the positions
+after it cannot cover the graph before it descends.
+
 The tree search roots the tree at vertex 0 and numbers the vertices in BFS
 order, so the highest uncovered bit is a deepest uncovered vertex x.  Some
 unused radius r must cover x, and the radius-r ball around x's ancestor at
@@ -33,7 +39,10 @@ nodes_explored counts, over every k tried, the balls the tree search
 placed, or the sources the general search placed plus the complete
 sequences it judged.  Burning is NP-hard even on trees (Bessy et al.,
 "Burning a graph is hard", 2017), so a solve that places more than
-NODE_BUDGET balls or sources raises SearchBudgetExceeded.
+NODE_BUDGET balls or sources raises SearchBudgetExceeded, which names the
+bracket k <= b(G) <= e + 1 the solve established: k the value it was
+searching, e the eccentricity of the tree search's root or the least
+eccentricity in the graph.
 """
 
 from __future__ import annotations
@@ -78,76 +87,91 @@ def _over_budget() -> SearchBudgetExceeded:
 
 
 class _Search:
-    """Shared per-solve state: distance matrix, candidate order, ball masks."""
+    """Shared per-solve state: ball masks by radius, candidate order, bounds.
+
+    balls[r][v] is the bitmask of the closed radius-r ball around v, built
+    in one sweep, ball_{r+1}(v) = ball_r(v) | ball_r(w) over v's neighbors
+    w, which stops when no ball grows, so it ends on a disconnected graph
+    too; find repeats the last radius for larger ones.  A vertex's
+    eccentricity is the number of radii its ball grew.
+    """
 
     def __init__(self, graph: Graph):
-        self.n = graph.n
-        self.dist = [bfs_distances(graph, v) for v in range(graph.n)]
-        ecc = [max(row) for row in self.dist]
-        self.lower = ceil_sqrt(max(ecc) + 1)
-        self.order = sorted(range(graph.n), key=lambda v: (-ecc[v], v))
-        self.full = (1 << graph.n) - 1
-        self._ball_cache: dict[int, list[int]] = {}
+        n, adjacency = graph.n, graph.adjacency
+        ball = [1 << v for v in range(n)]
+        self.balls = [ball]
+        ecc = [0] * n
+        while True:
+            grown = []
+            for v in range(n):
+                mask = ball[v]
+                for w in adjacency[v]:
+                    mask |= ball[w]
+                if mask != ball[v]:
+                    ecc[v] += 1
+                grown.append(mask)
+            if grown == ball:
+                break
+            self.balls.append(grown)
+            ball = grown
+        self.n = n
+        self.lower = ceil_sqrt(max(ecc, default=0) + 1)
+        # burning from one vertex alone takes its eccentricity + 1 rounds
+        self.upper = min(ecc, default=0) + 1
+        self.order = sorted(range(n), key=lambda v: (-ecc[v], v))
+        self.full = (1 << n) - 1
         self.nodes = 0
-
-    def balls(self, radius: int) -> list[int]:
-        """Bitmask of the closed radius-ball around each vertex."""
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
-        masks = []
-        for v in range(self.n):
-            mask = 0
-            row = self.dist[v]
-            for u in range(self.n):
-                if row[u] <= radius:
-                    mask |= 1 << u
-            masks.append(mask)
-        self._ball_cache[radius] = masks
-        return masks
 
     def find(self, k: int) -> Optional[tuple[int, ...]]:
         """k sources, each unburned at the start of its round, whose
         radius-(k-i) balls (i the 1-based round) cover the graph, or None.
 
         A prefix is pruned when its balls plus the largest balls any
-        remaining positions could contribute cannot cover the graph.
+        remaining positions could contribute cannot cover the graph; a
+        candidate is tested against that bound, and the last position
+        against a full cover, before the search descends into it.  A node
+        is each source placed (checked against NODE_BUDGET) and each
+        complete sequence judged.
         """
-        ball_now = [self.balls(k - i) for i in range(1, k + 1)]
-        max_gain = [max(m.bit_count() for m in masks) for masks in ball_now]
-        # Suffix sums: best possible coverage from positions i+1..k.
-        rest = [0] * (k + 1)
+        n, full, order, balls = self.n, self.full, self.order, self.balls
+        balls += [balls[-1]] * (k - len(balls))  # radii up to k - 1
+        ball_now = balls[k - 1::-1]  # position i places a radius-(k-1-i) ball
+        # need[i]: the fewest vertices the sources before position i must
+        # cover, so that the largest balls from position i on can finish
+        need = [n] * (k + 1)
         for i in range(k - 1, -1, -1):
-            rest[i] = rest[i + 1] + max_gain[i]
-
+            need[i] = need[i + 1] - max(m.bit_count() for m in ball_now[i])
         chosen: list[int] = []
+        nodes = self.nodes
 
-        def extend(covered: int) -> Optional[tuple[int, ...]]:
-            i = len(chosen)
-            if i == k:
-                self.nodes += 1
-                return tuple(chosen) if covered == self.full else None
-            if covered.bit_count() + rest[i] < self.n:
-                return None
-            for v in self.order:
-                ok = True
-                for j, x in enumerate(chosen):
-                    if self.dist[x][v] < i - j:  # burned before round i+1
-                        ok = False
-                        break
-                if not ok:
+        def extend(i: int, covered: int) -> bool:
+            nonlocal nodes
+            burned = 0  # burned before round i+1
+            for j, x in enumerate(chosen):
+                burned |= balls[i - j - 1][x]
+            cover, last, enough = ball_now[i], i == k - 1, need[i + 1]
+            for v in order:
+                if burned >> v & 1:
                     continue
-                self.nodes += 1
-                if self.nodes > NODE_BUDGET:
+                nodes += 1
+                if nodes > NODE_BUDGET:
                     raise _over_budget()
-                chosen.append(v)
-                found = extend(covered | ball_now[i][v])
-                chosen.pop()
-                if found is not None:
-                    return found
-            return None
+                reach = covered | cover[v]
+                if last:
+                    nodes += 1
+                    if reach == full:
+                        chosen.append(v)
+                        return True
+                elif reach.bit_count() >= enough:
+                    chosen.append(v)
+                    if extend(i + 1, reach):
+                        return True
+                    chosen.pop()
+            return False
 
-        return extend(0)
+        found = need[0] <= 0 and extend(0, 0)
+        self.nodes = nodes
+        return tuple(chosen) if found else None
 
 
 class _TreeSearch:
@@ -171,7 +195,7 @@ class _TreeSearch:
         self.lower = ceil_sqrt(max(bfs_distances(tree, order[-1])) + 1)
         # b <= ecc(root) + 1 (burn from the root alone), so the unused radii
         # of every k tried fit in the low bits of a state key
-        self.shift = self.depth[-1] + 1
+        self.upper = self.shift = self.depth[-1] + 1
         self._balls: dict[int, int] = {}
         self.failed: set[int] = set()
         self.nodes = 0
@@ -240,10 +264,17 @@ class _TreeSearch:
 
 def _solve(graph: Graph, search) -> ExactResult:
     """Both searches' k-loop: search.find(k) from k = search.lower up, its
-    first proposals transported into a validated witness of length k."""
+    first proposals transported into a validated witness of length k.  Over
+    the budget, the error names the bracket k <= b <= search.upper: every
+    smaller k was refuted by a search or by the diameter bound."""
     k = search.lower
-    while (proposals := search.find(k)) is None:
-        k += 1
+    try:
+        while (proposals := search.find(k)) is None:
+            k += 1
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(
+            f"{exc}; {k} <= b <= {search.upper} (every smaller k ruled out)"
+        ) from None
     seq = _transport(graph.adjacency, graph.n, proposals, k)
     validate_sequence(graph, seq)  # the search result is never trusted blindly
     if len(seq) != k:

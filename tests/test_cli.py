@@ -138,6 +138,8 @@ class TestExact:
         code, out, err = run(["exact", str(tree)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "budget" in err
+        # b(P9) = 3 = ceil_sqrt(diameter + 1); burning from vertex 0 takes 9
+        assert "; 3 <= b <= 9 (every smaller k ruled out)" in err
 
 
 class TestBounds:

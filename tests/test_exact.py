@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from treeburn import (
@@ -244,6 +246,41 @@ class TestNodeBudget:
         monkeypatch.setattr(exact, "NODE_BUDGET", 10)
         with pytest.raises(SearchBudgetExceeded):
             burning_number(gen_cycle(12))
+
+    def test_general_search_trips_one_below_its_count(self, monkeypatch):
+        # the last node counted is the covering sequence, which no budget
+        # check follows; the check before it is on its last source
+        chorded = [
+            g for g in _trees_plus_chords(12, orders=range(12, 24))
+            if g.edge_count() >= g.n
+        ]
+        assert len(chorded) >= 6
+        for g in [gen_cycle(n) for n in (5, 13, 21)] + chorded[:6]:
+            res = burning_number(g)
+            total = res.nodes_explored
+            monkeypatch.setattr(exact, "NODE_BUDGET", total - 1)
+            assert burning_number(g) == res
+            monkeypatch.setattr(exact, "NODE_BUDGET", total - 2)
+            with pytest.raises(SearchBudgetExceeded, match=rf"; {res.burning_number} <= b <= "):
+                burning_number(g)
+            monkeypatch.undo()
+
+    def test_error_names_a_bracket_that_holds_b(self, monkeypatch):
+        graphs = [gen_cycle(21), gen_path(30), gen_random_tree(30, 5)]
+        graphs += [g for g in _trees_plus_chords(4, orders=range(20, 24))]
+        brackets = []
+        for g in graphs:
+            res = burning_number(g)
+            b, total = res.burning_number, res.nodes_explored
+            for budget in (1, total // 2):
+                monkeypatch.setattr(exact, "NODE_BUDGET", budget)
+                with pytest.raises(SearchBudgetExceeded) as info:
+                    burning_number(g)
+                monkeypatch.undo()
+                low, high = map(int, re.search(r"(\d+) <= b <= (\d+)", str(info.value)).groups())
+                assert low <= b <= high
+                brackets.append((low, b, high))
+        assert any(low < high for low, _, high in brackets)
 
 
 class TestSpanningTreeMin:
