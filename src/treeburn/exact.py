@@ -115,9 +115,9 @@ class _Search:
             self.balls.append(grown)
             ball = grown
         self.n = n
-        self.lower = ceil_sqrt(max(ecc, default=0) + 1)
+        self.lower = ceil_sqrt(max(ecc) + 1)
         # burning from one vertex alone takes its eccentricity + 1 rounds
-        self.upper = min(ecc, default=0) + 1
+        self.upper = min(ecc) + 1
         self.order = sorted(range(n), key=lambda v: (-ecc[v], v))
         self.full = (1 << n) - 1
         self.nodes = 0

@@ -4,10 +4,16 @@ BENCH_construct.json.
 For each n in SIZES, on gen_random_tree(n, 0) and gen_path(n): RUNS runs
 of as_tree + parse_edge_list on the tree's formatted edge list, of
 construct_general, of document_from_certificate + dump_document, and of
-json.loads + verify_document.  Each phase records the median of its runs
-(parse_s, construct_s, dump_s, verify_s) with the raw times beside it
-(parse_runs_s, ...), so one slow run does not move a record.  The
-scaling exponent of each phase is fitted from the last two orders' medians,
+json.loads + verify_document.  The host's speed drifts by minutes, so
+each run is scaled as perfbench scales a timed window: a block of
+perfbench/reference.py's kernel runs before and after it, and the run
+counts raw * NOMINAL_MS / (mean of the two blocks' median kernel times).
+Each phase records the median of its scaled runs (parse_s, construct_s,
+dump_s, verify_s), the scaled runs (parse_runs_s, ...) and the raw ones
+(parse_raw_runs_s, ...), so one slow run does not move a record and
+records from different sessions compare.  Records made before the scaling
+have no "nominal_ms" key and hold raw times.  The scaling exponent of each
+phase is fitted from the last two orders' medians,
 log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
 checkout that was timed ("-dirty" when its tracked files differ from that
 commit), the Python version, each tree's level count, the sha256 of its
@@ -42,6 +48,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from reference import NOMINAL_MS, Speedometer  # noqa: E402
 SIZES = (1600, 6400, 25600, 102400)
 CHECK_MAX_N = 6400
 HASHES = ("sequence_sha256", "cert_sha256")
@@ -61,27 +69,32 @@ def revision(src: Path) -> str:
         return "unknown"
 
 
-def timed(fn, *args):
+def timed(speed: Speedometer, fn, *args):
+    """fn(*args), its raw seconds and its seconds at the reference speed."""
     gc.collect()
+    before = speed.block()
     start = time.perf_counter()
     result = fn(*args)
-    return result, time.perf_counter() - start
+    raw = time.perf_counter() - start
+    gc.collect()
+    return result, (raw, raw * Speedometer.factor(before, speed.block(raw)))
 
 
 def measure(treeburn, certs, cli, tree) -> dict:
+    speed = Speedometer()
     times = {phase: [] for phase in PHASES}
     edge_list = cli.format_edge_list(tree)
     for _ in range(RUNS):
         parsed, parse_s = timed(
-            lambda s: treeburn.as_tree(cli.parse_edge_list(s)), edge_list
+            speed, lambda s: treeburn.as_tree(cli.parse_edge_list(s)), edge_list
         )
         assert parsed == tree
-        cert, construct_s = timed(treeburn.construct_general, tree)
+        cert, construct_s = timed(speed, treeburn.construct_general, tree)
         text, dump_s = timed(
-            lambda c: certs.dump_document(certs.document_from_certificate(c)), cert
+            speed, lambda c: certs.dump_document(certs.document_from_certificate(c)), cert
         )
         summary, verify_s = timed(
-            lambda s: certs.verify_document(json.loads(s)), text
+            speed, lambda s: certs.verify_document(json.loads(s)), text
         )
         assert summary["ok"] and summary["length"] == len(cert.sequence)
         for phase, t in zip(PHASES, (parse_s, construct_s, dump_s, verify_s)):
@@ -89,8 +102,10 @@ def measure(treeburn, certs, cli, tree) -> dict:
     levels = sum(row["step"] in ("smooth", "pendant", "exact") for row in cert.trace)
     row = {}
     for phase, runs in times.items():
-        row[phase] = round(statistics.median(runs), 4)
-        row[phase.replace("_s", "_runs_s")] = [round(t, 4) for t in runs]
+        scaled = [t for _, t in runs]
+        row[phase] = round(statistics.median(scaled), 4)
+        row[phase.replace("_s", "_runs_s")] = [round(t, 4) for t in scaled]
+        row[phase.replace("_s", "_raw_runs_s")] = [round(t, 4) for t, _ in runs]
     return {
         **row,
         "levels": levels,
@@ -159,6 +174,7 @@ def main(argv=None) -> int:
         "revision": revision(args.src),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "nominal_ms": NOMINAL_MS,
         "results": results,
     }
     history = json.loads(OUT.read_text()) if OUT.exists() else []
