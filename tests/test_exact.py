@@ -267,7 +267,7 @@ class TestNodeBudget:
 
     def test_error_names_a_bracket_that_holds_b(self, monkeypatch):
         graphs = [gen_cycle(21), gen_path(30), gen_random_tree(30, 5)]
-        graphs += [g for g in _trees_plus_chords(4, orders=range(20, 24))]
+        graphs += _trees_plus_chords(4, orders=range(20, 24))
         brackets = []
         for g in graphs:
             res = burning_number(g)
