@@ -9,13 +9,14 @@ simulation regardless of who produced it.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .bounds import bound_table
 from .construct import BoundCertificate
-from .engine import BurningSequence, validate_sequence
-from .graphs import Tree, as_tree, build_graph, degree2_census
+from .engine import BurningSequence, _burn
+from .errors import LengthMismatch
+from .graphs import _bfs_tree, as_tree, build_graph
 
 SCHEMA_VERSION = "3"
 
@@ -55,11 +56,15 @@ class VerificationFailure(Exception):
         self.reason = reason
 
 
-def _tree_from_doc(doc: dict) -> Tree:
+def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
+    """The embedded tree's neighbor lists, unsorted.  n - 1 loop-free edges
+    that reach every vertex from 0 form a tree, so one loop and one BFS
+    check it; no edge-key set and no sort.  On a fault, build_graph and
+    as_tree raise, so a reason names the first fault they meet."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     edges = tree_obj["edges"]
-    # Checked before build_graph, which allocates in proportion to n.
+    # Checked before anything is allocated in proportion to n.
     if type(n) is not int:
         raise TypeError(f"tree order {n!r} is not an integer")
     if len(edges) != n - 1:
@@ -68,7 +73,16 @@ def _tree_from_doc(doc: dict) -> Tree:
         pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
         if not pair:
             raise TypeError(f"edge {e!r} is not a pair of integers")
-    return as_tree(build_graph(n, edges))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            break
+        adj[u].append(v)
+        adj[v].append(u)
+    else:
+        if len(_bfs_tree(adj, 0)[0]) == n:
+            return adj
+    return as_tree(build_graph(n, edges)).adjacency
 
 
 def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
@@ -80,17 +94,20 @@ def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
 def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence.
 
+    The tree is checked on plain neighbor lists by one BFS, and the
+    sequence is burned, strictly, on those lists (_tree_from_doc); no Tree
+    is built for a valid certificate.
     Returns a summary dict on success; raises VerificationFailure with a
     machine-readable reason otherwise.  Stored labels and bound values are
     treated as claims to check, never as inputs, and a bool never passes
     for an integer claim.
     """
     try:
-        tree = _tree_from_doc(doc)
+        adj = _tree_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
-    n = tree.n
-    n2, _ = degree2_census(tree)
+    n = len(adj)
+    n2 = sum(1 for a in adj if len(a) == 2)
     bounds = bound_table(n, n2)
     target = bounds.refined
     _check_claim(doc, "n", n, "order")
@@ -107,11 +124,14 @@ def verify_document(doc: dict) -> dict:
     if len(seq) > target:
         raise VerificationFailure("sequence longer than target")
     try:
-        labeling = validate_sequence(tree, seq)
+        _, labels, layers = _burn(adj, n, seq.sources, strict=True)
+        total_rounds = len(layers)
+        if total_rounds != len(seq):
+            raise LengthMismatch(total_rounds)
     except ValueError as exc:
         raise VerificationFailure(f"invalid sequence: {exc}") from exc
     stored = doc.get("labels")
-    recomputed = {str(v): r for v, r in enumerate(labeling.labels)}
+    recomputed = {str(v): r for v, r in enumerate(labels)}
     # Only the first source burns in round 1, so once the dicts are equal a
     # bool (True == 1) can sit nowhere else; one float (2.0 == 2) anywhere
     # makes the sum a float.
@@ -121,7 +141,7 @@ def verify_document(doc: dict) -> dict:
         or type(sum(stored.values())) is not int
     ):
         raise VerificationFailure("labels mismatch")
-    _check_claim(doc, "total_rounds", labeling.total_rounds, "round count")
+    _check_claim(doc, "total_rounds", total_rounds, "round count")
     expected = bounds.as_dict()
     table = doc.get("bound_table")
     if table != expected or any(
@@ -134,5 +154,5 @@ def verify_document(doc: dict) -> dict:
         "n2": n2,
         "length": len(seq),
         "target": target,
-        "total_rounds": labeling.total_rounds,
+        "total_rounds": total_rounds,
     }

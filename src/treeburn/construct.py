@@ -41,6 +41,7 @@ from .engine import (
 from .errors import (
     DegreeTooSmall,
     InternalBoundViolation,
+    NotAcyclic,
     PreconditionViolated,
     StructureMismatch,
 )
@@ -210,6 +211,10 @@ class _WorkingTree:
         adj = list(t.adjacency)
         root = next((x for x in range(n) if len(adj[x]) == 1), 0)
         order, parent = _bfs_tree(adj, root)
+        # a hand-built Tree with a cycle would send the walks below round it
+        ends = sum(map(len, adj))
+        if len(order) != n or ends != 2 * (n - 1):
+            raise NotAcyclic(f"{ends} edge ends on {n} vertices, {len(order)} reached")
         size = [1] * n
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]

@@ -61,11 +61,13 @@ def _burn(
     strict: bool,
 ) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
     """The round loop shared by simulate, greedy_schedule, the transport
-    step and construct's innermost tree: run the process on adjacency until
-    count vertices burn.
+    step, construct's innermost tree and the certificate verifier: run the
+    process on adjacency until count vertices burn.  Neighbor order does
+    not change a vertex's round, so adjacency need not be sorted.
 
     A source burned at the start of its round raises SourceAlreadyBurned
-    when strict, and is demoted to an empty round otherwise.  Returns the
+    when strict, and is demoted to an empty round otherwise; when strict, so
+    does a source scheduled after the process has ended.  Returns the
     per-round sources actually used, up to the round the process ends in,
     every vertex's round (0 for one that never burned) and the vertices
     each round burned.
@@ -111,6 +113,11 @@ def _burn(
         layers.append(newly)
         burned_count += len(newly)
         frontier = newly
+    if strict:
+        # Sources scheduled after termination can never be unburned.
+        for later in range(r, len(rounds)):
+            if rounds[later] is not None:
+                raise SourceAlreadyBurned(later + 1, rounds[later])
     return kept, labels, layers
 
 
@@ -118,17 +125,10 @@ def _burn_graph(
     g: Graph, rounds: Sequence[Optional[int]], strict: bool
 ) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
     """_burn over all of g.  Only a bare Graph gets a connectivity pass:
-    Tree.is_connected trusts the type.  When strict, a source scheduled
-    after the process has terminated raises SourceAlreadyBurned too."""
+    Tree.is_connected trusts the type."""
     if g.n == 0 or not g.is_connected():
         raise NotConnected("burning is defined on connected graphs")
-    kept, labels, layers = _burn(g.adjacency, g.n, rounds, strict)
-    if strict:
-        # Sources scheduled after termination can never be unburned.
-        for later in range(len(layers), len(rounds)):
-            if rounds[later] is not None:
-                raise SourceAlreadyBurned(later + 1, rounds[later])
-    return kept, labels, layers
+    return _burn(g.adjacency, g.n, rounds, strict)
 
 
 def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:

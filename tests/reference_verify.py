@@ -1,0 +1,82 @@
+"""verify_document as it was before the one-pass tree check, for
+differential tests.
+
+The tree is built the checked way: every edge's type, then build_graph
+(edge-key set, sorted neighbor tuples) and as_tree (connectivity BFS, edge
+count), and the sequence is replayed by validate_sequence on that Tree.
+Tests compare its reasons and summaries with verify_document's, document
+for document.
+"""
+
+from __future__ import annotations
+
+from treeburn.bounds import bound_table
+from treeburn.certs import VerificationFailure, _check_claim
+from treeburn.engine import BurningSequence, validate_sequence
+from treeburn.graphs import Tree, as_tree, build_graph, degree2_census
+
+
+def _tree_from_doc(doc: dict) -> Tree:
+    tree_obj = doc["tree"]
+    n = tree_obj["n"]
+    edges = tree_obj["edges"]
+    if type(n) is not int:
+        raise TypeError(f"tree order {n!r} is not an integer")
+    if len(edges) != n - 1:
+        raise ValueError(f"{len(edges)} edges for {n} vertices")
+    for e in edges:
+        pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+        if not pair:
+            raise TypeError(f"edge {e!r} is not a pair of integers")
+    return as_tree(build_graph(n, edges))
+
+
+def reference_verify_document(doc: dict) -> dict:
+    try:
+        tree = _tree_from_doc(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise VerificationFailure(f"malformed tree: {exc}") from exc
+    n = tree.n
+    n2, _ = degree2_census(tree)
+    bounds = bound_table(n, n2)
+    target = bounds.refined
+    _check_claim(doc, "n", n, "order")
+    _check_claim(doc, "n2", n2, "degree-2 count")
+    _check_claim(doc, "m", bounds.m, "margin")
+    _check_claim(doc, "target", target, "target")
+    try:
+        entries = tuple(doc["sequence"])
+        if not all(type(x) is int for x in entries):
+            raise ValueError("sequence entries must be integers")
+        seq = BurningSequence(entries)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise VerificationFailure(f"malformed sequence: {exc}") from exc
+    if len(seq) > target:
+        raise VerificationFailure("sequence longer than target")
+    try:
+        labeling = validate_sequence(tree, seq)
+    except ValueError as exc:
+        raise VerificationFailure(f"invalid sequence: {exc}") from exc
+    stored = doc.get("labels")
+    recomputed = {str(v): r for v, r in enumerate(labeling.labels)}
+    if (
+        stored != recomputed
+        or type(stored[str(seq.sources[0])]) is not int
+        or type(sum(stored.values())) is not int
+    ):
+        raise VerificationFailure("labels mismatch")
+    _check_claim(doc, "total_rounds", labeling.total_rounds, "round count")
+    expected = bounds.as_dict()
+    table = doc.get("bound_table")
+    if table != expected or any(
+        type(table[k]) is not type(v) for k, v in expected.items()
+    ):
+        raise VerificationFailure("bound table mismatch")
+    return {
+        "ok": True,
+        "n": n,
+        "n2": n2,
+        "length": len(seq),
+        "target": target,
+        "total_rounds": labeling.total_rounds,
+    }

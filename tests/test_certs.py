@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeburn import construct_general, gen_path, gen_random_no_deg2, gen_random_tree
+from treeburn import (
+    construct_general,
+    engine,
+    gen_path,
+    gen_random_no_deg2,
+    gen_random_tree,
+)
+from treeburn.bounds import bound_table
 from treeburn.certs import (
     VerificationFailure,
     document_from_certificate,
@@ -16,6 +23,9 @@ from treeburn.certs import (
     verify_document,
 )
 from treeburn.cli import main
+from treeburn.rng import SplitMix64
+
+from .reference_verify import reference_verify_document
 
 
 def json_depth(value) -> int:
@@ -149,10 +159,60 @@ class TestUntrustedTree:
             verify_document(doc)
         assert failure.value.reason == f"malformed tree: {reason}"
 
+    def test_a_burn_that_ends_does_not_prove_connectivity(self):
+        """A triangle and an isolated vertex: n - 1 loop-free edges, every
+        vertex burned in two rounds and every claim right, but no tree."""
+        bounds = bound_table(4, 3)
+        doc = {
+            "tree": {"n": 4, "edges": [[1, 2], [1, 3], [2, 3]]},
+            "n": 4,
+            "n2": 3,
+            "m": bounds.m,
+            "target": bounds.refined,
+            "sequence": [1, 0],
+            "labels": {"0": 2, "1": 1, "2": 2, "3": 2},
+            "total_rounds": 2,
+            "bound_table": bounds.as_dict(),
+        }
+        adj = [[], [2, 3], [1, 3], [1, 2]]
+        _, labels, layers = engine._burn(adj, 4, doc["sequence"], True)
+        assert (labels, len(layers)) == ([2, 1, 2, 2], 2)
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == (
+            "malformed tree: graph with 4 vertices is not connected"
+        )
+
+    @pytest.mark.parametrize(
+        "faults, reason",
+        [
+            ({0: [0, 9], 3: [3, 4.0]}, "edge [3, 4.0] is not a pair of integers"),
+            ({1: [0, 1], 4: [4, 4]}, "edge (0, 1) given twice"),
+        ],
+        ids=["range-then-type", "duplicate-then-loop"],
+    )
+    def test_the_fault_named_among_several(self, faults, reason):
+        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        for i, edge in faults.items():
+            doc["tree"]["edges"][i] = edge
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == f"malformed tree: {reason}"
+
+    def test_one_vertex_verifies(self):
+        doc = certificate(1, 0, lambda n, seed: gen_path(n))
+        assert doc["tree"] == {"n": 1, "edges": []}
+        summary = verify_document(doc)
+        assert summary == {
+            "ok": True, "n": 1, "n2": 0, "length": 1, "target": 1, "total_rounds": 1,
+        }
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing: mutated certificates fail with VerificationFailure, never another
-# exception, and `treeburn verify` exits 1 on them.
+# exception, with the reason (or summary) of the checked tree build of
+# earlier releases (tests/reference_verify.py), and `treeburn verify` exits
+# 1 on them.
 # ---------------------------------------------------------------------------
 
 BASES = (
@@ -221,10 +281,21 @@ def verdict(doc) -> bool:
         return False
 
 
+def outcome(verify, doc):
+    try:
+        return verify(doc)
+    except VerificationFailure as failure:
+        return failure.reason
+
+
+def assert_same_outcome(doc):
+    assert outcome(verify_document, doc) == outcome(reference_verify_document, doc)
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_documents())
 def test_mutated_documents_fail_only_with_verification_failure(doc):
-    verdict(doc)
+    assert_same_outcome(doc)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +314,48 @@ def test_cli_verify_exits_1_on_mutated_documents(fuzz_dir, doc):
         code = main(["verify", str(path)])
     assert code == (0 if accepted else 1)
     assert json.loads(out.getvalue())["ok"] is accepted
+
+
+EDGE_BASES = BASES + (certificate(60, 2), certificate(40, 6, gen_random_no_deg2))
+
+
+@st.composite
+def edge_mutated_documents(draw):
+    """One to three edits of the edge list: an endpoint moved (also out of
+    range or onto the other end), an edge replaced by a copy of another
+    (either way round), or an edge replaced by a chord."""
+    doc = copy.deepcopy(draw(st.sampled_from(EDGE_BASES)))
+    n, edges = doc["tree"]["n"], doc["tree"]["edges"]
+    index = st.integers(0, len(edges) - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(index)
+        op = draw(st.sampled_from(["move", "duplicate", "chord"]))
+        if op == "move":
+            edges[i][draw(st.integers(0, 1))] = draw(st.integers(-1, n))
+        elif op == "duplicate":
+            edges[i] = list(edges[draw(index)])[:: draw(st.sampled_from([1, -1]))]
+        else:
+            u = draw(st.integers(0, n - 1))
+            v = draw(st.integers(0, n - 1).filter(lambda v: v != u))
+            edges[i] = [u, v]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_mutated_documents())
+def test_edge_mutations_match_the_reference(doc):
+    assert_same_outcome(doc)
+
+
+def test_seeded_valid_certificates_match_the_reference():
+    rng = SplitMix64(2024)
+    generators = (gen_random_tree, gen_random_no_deg2, lambda n, seed: gen_path(n))
+    for i in range(200):
+        n = 1 + rng.below(400)
+        doc = certificate(n, i, generators[i % 3])
+        summary = verify_document(doc)
+        assert summary["ok"] is True
+        assert summary == reference_verify_document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from treeburn import Tree, construct, engine, exact, graphs
 from treeburn.bounds import margin
 from treeburn.errors import (
     DegreeTooSmall,
-    InternalBoundViolation,
+    NotAcyclic,
     PreconditionViolated,
     StructureMismatch,
 )
@@ -650,7 +650,7 @@ class TestConstructGeneral:
 
 
 # Degree-2-free graphs with cycles: a Tree built by hand around one of them
-# breaks the type's promise, and construct must still end.
+# breaks the type's promise, and construct must reject it with a typed error.
 CYCLIC = {
     "K4": (4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
     "K3,3": (6, [(u, v) for u in range(3) for v in range(3, 6)]),
@@ -686,13 +686,27 @@ def deadline(seconds):
     ids=["no_deg2", "general"],
 )
 def test_cyclic_tree_type_ends(name, build):
-    """Every rooted pass marks a vertex once, so a cycle cannot keep one
-    going; a sequence that comes back still burns the graph."""
+    """The working tree checks the type's promise once: a cycle is a
+    NotAcyclic, not a walk round it."""
     g = build_graph(*CYCLIC[name])
     assert degree2_census(Tree(g.adjacency))[0] == 0
-    with deadline(2):
-        try:
-            cert = build(Tree(g.adjacency))
-        except (ValueError, InternalBoundViolation):
-            return
-    validate_sequence(g, cert.sequence)
+    with deadline(2), pytest.raises(NotAcyclic):
+        build(Tree(g.adjacency))
+
+
+def test_trees_plus_chords_as_tree_type_raise_not_acyclic():
+    """500 random trees of order 10-58, each with 1-3 chords, wrapped as
+    Tree: every one is rejected, none hangs, loops or returns."""
+    rng = SplitMix64(1919)
+    for i in range(500):
+        t = gen_random_tree(10 + rng.below(49), 5000 + i)
+        n, edges = t.n, set(t.edges())
+        for _ in range(1 + rng.below(3)):
+            while True:
+                u, v = sorted((rng.below(n), rng.below(n)))
+                if u != v and (u, v) not in edges:
+                    edges.add((u, v))
+                    break
+        g = build_graph(n, sorted(edges))
+        with deadline(2), pytest.raises(NotAcyclic):
+            construct_general(Tree(g.adjacency))
