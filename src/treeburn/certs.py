@@ -16,7 +16,7 @@ from .bounds import bound_table
 from .construct import BoundCertificate
 from .engine import BurningSequence, _burn
 from .errors import LengthMismatch
-from .graphs import _bfs_tree, as_tree, build_graph
+from .graphs import _tree_lists, as_tree, build_graph
 
 SCHEMA_VERSION = "3"
 
@@ -24,10 +24,12 @@ SCHEMA_VERSION = "3"
 def document_from_certificate(
     cert: BoundCertificate, seed: Optional[int] = None
 ) -> dict:
+    adj = cert.tree.adjacency
+    edges = [[u, v] for u, a in enumerate(adj) for v in a if u < v]  # Graph.edges()'s order
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "tree": {"n": cert.tree.n, "edges": [list(e) for e in cert.tree.edges()]},
+        "tree": {"n": cert.tree.n, "edges": edges},
         "n": cert.n,
         "n2": cert.n2,
         "m": cert.m,
@@ -57,10 +59,11 @@ class VerificationFailure(Exception):
 
 
 def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
-    """The embedded tree's neighbor lists, unsorted.  n - 1 loop-free edges
-    that reach every vertex from 0 form a tree, so one loop and one BFS
-    check it; no edge-key set and no sort.  On a fault, build_graph and
-    as_tree raise, so a reason names the first fault they meet."""
+    """The embedded tree's neighbor lists, unsorted.  After the type checks,
+    graphs._tree_lists, the one tree check cli.parse_edge_list also runs,
+    proves the n - 1 edges a tree by one loop and one BFS.  On a fault,
+    build_graph and as_tree raise, so a reason names the first fault they
+    meet."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     edges = tree_obj["edges"]
@@ -73,15 +76,9 @@ def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
         pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
         if not pair:
             raise TypeError(f"edge {e!r} is not a pair of integers")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            break
-        adj[u].append(v)
-        adj[v].append(u)
-    else:
-        if len(_bfs_tree(adj, 0)[0]) == n:
-            return adj
+    adj = _tree_lists(n, edges)
+    if adj is not None:
+        return adj
     return as_tree(build_graph(n, edges)).adjacency
 
 

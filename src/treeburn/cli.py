@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,8 @@ from .errors import TooLarge
 from .exact import burning_number
 from .graphs import (
     Graph,
+    Tree,
+    _tree_lists,
     as_tree,
     build_graph,
     gen_cycle,
@@ -47,10 +50,13 @@ class ParseError(Exception):
     pass
 
 
-def parse_edge_list(text: str, name: str = "<input>") -> Graph:
-    """Edge-list format: first data line is n, then one 'u v' line per edge.
+# The layout format_edge_list writes: no comment, blank line, tab, CR or
+# sign, one space per edge line, a newline after every line.
+_PLAIN_LAYOUT = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
 
-    Lines starting with '#' and blank lines are ignored."""
+
+def _read_lines(text: str, name: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges, line by line; words a layout error."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -75,12 +81,43 @@ def parse_edge_list(text: str, name: str = "<input>") -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError(f"{name}: empty edge-list file")
-    # Checked before build_graph, which allocates in proportion to n.  A
-    # connected graph has at least n - 1 edges.
+    return n, edges
+
+
+def parse_edge_list(text: str, name: str = "<input>") -> Graph:
+    """Edge-list format: first data line is n, then one 'u v' line per edge.
+
+    Lines starting with '#' and blank lines are ignored.  Text in the plain
+    layout format_edge_list writes is tokenized by one json.loads; any
+    other text, or one json rejects (leading zeros, an integer past int's
+    digit limit), is read line by line, which words every layout error.
+    n - 1 edges that graphs._tree_lists, the check verify_document also
+    runs, proves a tree come back as a Tree with sorted neighbors; any
+    other edge list goes to build_graph, which returns a bare Graph or
+    raises."""
+    numbers = None
+    if _PLAIN_LAYOUT.fullmatch(text):
+        try:
+            numbers = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        except ValueError:
+            pass
+    if numbers is None:
+        n, edges = _read_lines(text, name)
+    else:
+        tokens = iter(numbers)
+        n = next(tokens)
+        edges = list(zip(tokens, tokens))
+    # Checked before anything is allocated in proportion to n.  A connected
+    # graph has at least n - 1 edges.
     if n < 0:
         raise ParseError(f"{name}: vertex count {n} is negative")
     if n > len(edges) + 1:
         raise ParseError(f"{name}: {len(edges)} edges cannot connect {n} vertices")
+    if len(edges) == n - 1:
+        adj = _tree_lists(n, edges)
+        if adj is not None:
+            list(map(list.sort, adj))
+            return Tree(tuple(map(tuple, adj)))
     try:
         return build_graph(n, edges)
     except ValueError as exc:

@@ -54,10 +54,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree(Graph):
-    """Connected acyclic graph.  A Tree is made by as_tree(), which checks
-    this, or derived from a Tree by grafting leaves (augment_degree2) or by
-    smoothing a vertex (construct.smooth), both of which keep it a tree.
-    Connectivity checks trust the type instead of running a pass."""
+    """Connected acyclic graph.  A Tree is made by as_tree() or by
+    cli.parse_edge_list (through _tree_lists), which check this, or derived
+    from a Tree by grafting leaves (augment_degree2) or by smoothing a
+    vertex (construct.smooth), both of which keep it a tree.  Connectivity
+    checks trust the type instead of running a pass."""
 
     def is_connected(self) -> bool:
         return self.n > 0
@@ -100,6 +101,21 @@ def as_tree(g: Graph) -> Tree:
     if g.edge_count() != g.n - 1:
         raise NotAcyclic(f"{g.edge_count()} edges on {g.n} vertices")
     return Tree(g.adjacency)
+
+
+def _tree_lists(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]] | None:
+    """Unsorted neighbor lists of the n - 1 given edges on n >= 1 vertices
+    when they form a tree, else None.  n - 1 in-range edges that reach every
+    vertex from 0 form a tree, so they hold no loop and no duplicate: one
+    loop and one BFS check it, with no edge-key set and no sort.  The
+    caller checks the edge count and words a fault (build_graph, as_tree)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj if len(_bfs_tree(adj, 0)[0]) == n else None
 
 
 def _require_vertices(g: Graph, *vs: int) -> None:

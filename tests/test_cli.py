@@ -9,7 +9,10 @@ import pytest
 
 from treeburn import cli, exact
 from treeburn.cli import main, parse_edge_list, format_edge_list, ParseError
-from treeburn import build_graph
+from treeburn import Graph, Tree, as_tree, build_graph, gen_cycle, gen_path, gen_random_tree
+from treeburn.rng import SplitMix64
+
+from .reference_parse import reference_parse_edge_list
 
 
 def run(argv, capsys):
@@ -23,11 +26,11 @@ class TestEdgeListFormat:
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         text = format_edge_list(g)
         assert text == "4\n0 1\n1 2\n2 3\n"
-        assert parse_edge_list(text) == g
+        assert parse_edge_list(text) == as_tree(g)
 
     def test_comments_and_blanks_ignored(self):
         g = parse_edge_list("# a path\n\n3\n0 1\n# middle\n1 2\n")
-        assert g == build_graph(3, [(0, 1), (1, 2)])
+        assert g == as_tree(build_graph(3, [(0, 1), (1, 2)]))
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError, match=r":3:"):
@@ -54,6 +57,99 @@ class TestEdgeListFormat:
         code, out, err = run(["simulate", str(path), "0"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+def plain_texts() -> list[str]:
+    """format_edge_list of seeded trees, paths, cycles and trees plus chords."""
+    rng = SplitMix64(2026)
+    graphs = [gen_path(n) for n in (1, 2, 3, 17)] + [gen_cycle(n) for n in (3, 4, 11)]
+    for _ in range(40):
+        tree = gen_random_tree(1 + rng.below(400), rng.below(1 << 30))
+        graphs.append(tree)
+        edges = set(tree.edges())
+        for _ in range(1 + rng.below(3)):
+            u, v = sorted((rng.below(tree.n), rng.below(tree.n)))
+            if u != v:
+                edges.add((u, v))
+        graphs.append(build_graph(tree.n, sorted(edges)))
+    return [format_edge_list(g) for g in graphs]
+
+
+# each rewrite leaves the text outside format_edge_list's layout
+LAYOUTS = [
+    lambda t: "# a comment\n" + t,
+    lambda t: t.replace("\n", "\n\n", 2),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(" ", "\t"),
+    lambda t: t.replace("\n", " \n"),
+    lambda t: t[:-1],
+]
+
+ODD_TEXTS = [
+    "3\n00 1\n1 2\n",
+    "03\n0 1\n1 2\n",
+    "+3\n0 1\n1 2\n",
+    "3\n0 +1\n1 2\n",
+    "-1\n",
+    "3\n-1 0\n1 2\n",
+    "3\n0 -1\n1 2\n",
+    "3\n0 3\n1 2\n",
+    "3\n0 1\n0 1\n",
+    "3\n0 1\n1 0\n",
+    "3\n0 1\n1 2\n2 1\n",
+    "3\n0 0\n1 2\n",
+    "2\n1 1\n",
+    "4\n0 1\n1 2\n2 0\n",
+    "5\n0 1\n1 2\n2 0\n3 4\n",
+    "0\n",
+    "1\n",
+    "0\n0 1\n",
+    "",
+    "# nothing\n",
+    "3\n0 1 2\n",
+    "9" * 5000 + "\n",
+    "3\n0 " + "9" * 5000 + "\n1 2\n",
+]
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, name="t.txt")
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_parse(text):
+    got = parse_outcome(parse_edge_list, text)
+    want = parse_outcome(reference_parse_edge_list, text)
+    if isinstance(want, str):
+        assert got == want, text[:40]
+        return
+    assert got.adjacency == want.adjacency, text[:40]
+    try:
+        as_tree(want)
+    except ValueError:
+        assert type(got) is Graph, text[:40]
+    else:
+        assert type(got) is Tree, text[:40]
+
+
+class TestAgainstReferenceParser:
+    """The bulk tokenizer and the one-pass tree check against the line loop
+    plus build_graph of earlier releases (tests/reference_parse.py)."""
+
+    def test_plain_layout(self):
+        for text in plain_texts():
+            assert_same_parse(text)
+
+    @pytest.mark.parametrize("layout", range(len(LAYOUTS)))
+    def test_other_layouts(self, layout):
+        for text in plain_texts()[:24]:
+            assert_same_parse(LAYOUTS[layout](text))
+
+    @pytest.mark.parametrize("index", range(len(ODD_TEXTS)))
+    def test_odd_texts(self, index):
+        assert_same_parse(ODD_TEXTS[index])
 
 
 class TestGen:
