@@ -11,15 +11,18 @@ burn greedily, fill the empty rounds canonically and check a length bound.
 
 Every level lives in one mutable working tree in the grafted tree's ids:
 going down, a level edits O(deg) adjacency entries and logs their former
-lists; going up, the log restores each level, and the level is relabelled,
-not burned: one label array serves every level, and a level changes only
-the labels of its new vertices and of those its separator's fire reaches
-sooner (_LevelLabels).  Only the innermost tree gets a burn of its own.
-find_separator, smooth and lift_sequence are the per-level steps on a
-Tree of their own, kept as test oracles.
+lists, and its separator walk resumes where the last level's stopped
+(_WorkingTree); going up, the log restores each level, and the level is
+relabelled, not burned: one label array serves every level, and a level
+changes only the labels of its new vertices and of those its separator's
+fire reaches sooner (_LevelLabels).  Only the innermost tree gets a burn
+of its own.  find_separator, smooth and lift_sequence are the per-level
+steps on a Tree of their own, kept as test oracles.
 
-Only construct_general's sequence is replayed, once, on the input tree; a
-violated length bound raises InternalBoundViolation, never a wrong answer.
+No sequence is replayed: the labeling is the projection's burn on the
+input tree, which the sequence drives exactly (engine._transport), and
+verify_document checks a certificate where it is read.  A violated length
+bound raises InternalBoundViolation, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Mapping, Sequence, Union
 
 from .bounds import ceil_sqrt, margin
@@ -36,7 +38,6 @@ from .engine import (
     RoundLabeling,
     _burn,
     _transport,
-    validate_sequence,
 )
 from .errors import (
     DegreeTooSmall,
@@ -61,8 +62,7 @@ EXACT_FALLBACK_N = 9
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A burning sequence, its labeling and the bound it witnesses; only
-    construct_general's is validated, by simulation on tree.
+    """A burning sequence, its labeling and the bound it witnesses.
 
     trace holds one flat row of scalars per level, outermost first: step
     ("exact", "pendant" or "smooth"), order, m, target, separator, heavy,
@@ -189,7 +189,7 @@ def lift_sequence(
         raise StructureMismatch("sources must be vertices of the smoothed tree")
 
     proposals = [v] + [to_parent[s] for s in seq_prime.sources]
-    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)
+    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)[0]
 
 
 class _WorkingTree:
@@ -204,6 +204,17 @@ class _WorkingTree:
     from the root: the current level is the root's component.  adj starts
     out holding the input's own neighbor tuples: smooth puts a fresh list in
     every slot it edits before editing it, so the input is never written.
+
+    The separator walk resumes where the last level's stopped.  path is the
+    last walk, from the root to the separator.  A path vertex's size is
+    base[i] - drop, not size[]: base[i] is its size plus drop when it
+    joined, and drop counts the vertices removed since.  early[i] is the
+    largest subtree the walk passed over in its steps out of path[0..i].
+    Smoothing at the separator v, with w its parent and pw w's parent,
+    removes the same count from every path vertex up to pw and from no
+    other vertex, so it adds that count to drop instead of walking the
+    ancestors.  Above pw, the subtrees the walk passed over keep their
+    sizes, so early stays exact.
     """
 
     def __init__(self, t: Tree):
@@ -219,27 +230,51 @@ class _WorkingTree:
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
         self.adj, self.root, self.parent, self.size = adj, root, parent, size
+        self.path, self.base, self.early, self.drop = [root], [n], [], 0
 
-    def separator(self, p: int) -> int:
-        """find_separator's v for threshold p + 1/2: from the root's
-        neighbor, step into the first child (ascending id) whose subtree has
-        more than p vertices while there is one."""
+    def order(self) -> int:
+        """The current level's order: the root's size."""
+        return self.base[0] - self.drop
+
+    def separator(self, p: int) -> tuple[int, int]:
+        """find_separator's v for threshold p + 1/2, and its subtree size:
+        from the root, step into the first child (ascending id) whose
+        subtree has more than p vertices while there is one.
+
+        p only falls from level to level, so the walk follows the last one
+        as far as it still is the walk: to the last path[k] whose size
+        exceeds p with no subtree passed over on the way that does.  The
+        vertices after path[k] get their sizes back, and the walk steps on
+        from path[k]."""
         adj, parent, size = self.adj, self.parent, self.size
-        v = adj[self.root][0]
+        path, base, early, drop = self.path, self.base, self.early, self.drop
+        k = len(path) - 1
+        while k and (base[k] - drop <= p or early[k - 1] > p):
+            size[path[k]] = base[k] - drop
+            k -= 1
+        del path[k + 1:], base[k + 1:], early[k:]
+        v = path[k]
+        passed = early[-1] if early else 0
         while True:
             pv = parent[v]
             for u in adj[v]:
-                if u != pv and size[u] > p:
-                    v = u
-                    break
+                if u != pv:
+                    if size[u] > p:
+                        early.append(passed)
+                        path.append(u)
+                        base.append(size[u] + drop)
+                        v = u
+                        break
+                    if size[u] > passed:
+                        passed = size[u]
             else:
-                return v
+                return v, base[-1] - drop
 
-    def smooth(self, v: int) -> list[tuple[int, list[int]]]:
+    def smooth(self, v: int, vsize: int) -> list[tuple[int, list[int]]]:
         """Descend from the level's tree into its smoothed heavy branch:
-        cut v's subtree and smooth its parent w away, as smooth(t, w) would
-        in the branch.  Returns the undo log, each touched vertex with its
-        former neighbor list."""
+        cut the separator v's subtree, of vsize vertices, and smooth its
+        parent w away, as smooth(t, w) would in the branch.  Returns the
+        undo log, each touched vertex with its former neighbor list."""
         adj, parent, size = self.adj, self.parent, self.size
         w = parent[v]
         nbrs = [x for x in adj[w] if x != v]
@@ -264,11 +299,10 @@ class _WorkingTree:
             for x in reversed(arm):
                 size[x] += below
                 below = size[x]
-        removed = 1 + size[v] + len(leaf_nbrs[2:])
-        x = pw
-        while x != -1:
-            size[x] -= removed
-            x = parent[x]
+        removed = 1 + vsize + len(leaf_nbrs[2:])
+        self.drop += removed
+        # the walk ends at v, after w: it now ends at pw
+        del self.path[-2:], self.base[-2:], self.early[-2:]
         return undo
 
     def restore(self, undo: list[tuple[int, list[int]]]) -> None:
@@ -310,9 +344,11 @@ class _LevelLabels:
     the current level's sequence is src[level + 1 .. end].  Each empty round
     gets the lowest id burning in it: from the part (v and the heavy
     branch) up to the round that burns the last of it, from the light side
-    after that.  The part's candidates sit in lazy min-heaps per G (a label
-    only falls, so an entry whose vertex moved on stays stale), count[g]
-    counts them, and the light side joins them when its level is done.
+    after that.  The part's candidates sit in one list per G, appended a
+    BFS layer at a time, not sorted.  A label only falls, so an entry whose
+    vertex moved on stays stale until a fill of its round drops the stale
+    entries and takes the least of the rest.  count[g] counts the live
+    ones, and the light side joins them when its level is done.
     """
 
     def __init__(
@@ -325,11 +361,11 @@ class _LevelLabels:
         self.labels = labels = [0] * order
         self.src: list = [None] * size
         self.count = count = [0] * size
-        self.heaps: list[list[int]] = [[] for _ in range(size)]
+        self.cands: list[list[int]] = [[] for _ in range(size)]
         for x, r in zip(inner, inner_labels):
             labels[x] = g = r + depth
             count[g] += 1
-            heappush(self.heaps[g], x)
+            self.cands[g].append(x)
         self.end = depth + len(sources)
         self.src[depth + 1 : self.end + 1] = sources
 
@@ -338,7 +374,7 @@ class _LevelLabels:
     ) -> int:
         """Relabel from the level below to this level's tree, the component
         of v in adj, and return its round count."""
-        labels, src, count, heaps = self.labels, self.src, self.count, self.heaps
+        labels, src, count, cands = self.labels, self.src, self.count, self.cands
         end = self.end
         if end - level - 1 > target - 1:
             raise InternalBoundViolation(
@@ -348,7 +384,7 @@ class _LevelLabels:
         labels[v] = g
         src[g] = v
         count[g] += 1
-        heappush(heaps[g], v)
+        cands[g].append(v)
         light = []  # v's light side, by distance from v
         layer = [x for x in adj[v] if x != w]
         while layer:
@@ -361,7 +397,7 @@ class _LevelLabels:
         layer, g = [v], level + 1
         while layer:
             g += 1
-            heap, reached = heaps[g], []
+            reached = []
             for x in layer:
                 for y in adj[x]:
                     old = labels[y]
@@ -372,9 +408,9 @@ class _LevelLabels:
                         if src[old] == y:
                             emptied.append(old)
                     labels[y] = g
-                    heappush(heap, y)
                     reached.append(y)
             count[g] += len(reached)
+            cands[g] += reached
             layer = reached
         # the part's last round: T''s, or round 3 if w's surplus leaves
         # burn later than all of T'
@@ -395,15 +431,11 @@ class _LevelLabels:
                 if r <= last:
                     src[r] = min(light[r - level - 2])
                 continue
-            heap = heaps[r]
-            while labels[heap[0]] != r:
-                heappop(heap)
-            src[r] = heap[0]
+            cands[r] = live = [x for x in cands[r] if labels[x] == r]
+            src[r] = min(live)
         for r, layer in enumerate(light, level + 2):
             count[r] += len(layer)
-            heap = heaps[r]
-            for x in layer:
-                heappush(heap, x)
+            cands[r] += layer
         self.end = last
         return last - level
 
@@ -424,7 +456,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
     propagation; each lift relabels only what its level changes
     (_LevelLabels); the outermost level's labels are the labeling, and no
     burn replays the sequence.  Preconditions are checked once, on t; levels
-    check only lengths.  Every level is a state of one _WorkingTree, in t's ids.
+    check only lengths.  Every level is a state of one _WorkingTree, in t's
+    ids, whose separator walk resumes where the last level's stopped.
     """
     count2, listing = degree2_census(t)
     if count2:
@@ -477,18 +510,18 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
                 raise InternalBoundViolation("margin drop changed the target")
         # a subtree exceeds find_separator's p = 2*target - 3/2 iff it
         # exceeds 2*target - 2
-        v = work.separator(2 * target - 2)
+        v, vsize = work.separator(2 * target - 2)
         heavy = work.parent[v]
         row.update(separator=v, heavy=heavy, drop_margin=m_eff != level_m)
         level = len(frames)
-        if n - work.size[v] == 1:  # the heavy branch is the root alone
+        if n - vsize == 1:  # the heavy branch is the root alone
             row["step"] = "pendant"
             frames.append((level, v, heavy, [], row))
             inner, inner_labels, sources = [heavy], [1], [heavy]
             break
         row["step"] = "smooth"
-        frames.append((level, v, heavy, work.smooth(v), row))
-        n = work.size[work.root]
+        frames.append((level, v, heavy, work.smooth(v, vsize), row))
+        n = work.order()
         level_m = m_eff - 1 if m_eff >= 1 and n > m_eff * m_eff else 0
 
     labels = _LevelLabels(
@@ -515,20 +548,21 @@ def project_to_subtree(
     A vertex of t maps to itself, and a grafted leaf to its attachment
     vertex: the leaf's only neighbor, hence its unique nearest vertex of t.
     Sources the fire beat are dropped.  The result is never longer than
-    seq; it is the canonical form of the greedy run, so it needs no replay
-    here (construct_general validates its final sequence).
+    seq; it is the canonical form of the greedy run, so it needs no
+    replay.
     """
     proposals = [attach.get(y, y) for y in seq.sources]
     if not all(0 <= x < t.n for x in proposals):
         raise StructureMismatch("a source is neither a vertex of t nor a grafted leaf")
-    return _transport(t.adjacency, t.n, proposals, len(seq))
+    return _transport(t.adjacency, t.n, proposals, len(seq))[0]
 
 
 def construct_general(t: Tree) -> BoundCertificate:
     """Burning sequence of length <= refined_bound(n, n2) for any tree.
 
     Grafts a leaf onto every degree-2 vertex, constructs on the grafted tree
-    with the largest admissible margin, and projects the sequence back.
+    with the largest admissible margin, and projects the sequence back; the
+    projection's burn is the labeling.
     """
     n = t.n
     t1, attach = augment_degree2(t)
@@ -536,8 +570,10 @@ def construct_general(t: Tree) -> BoundCertificate:
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     inner = construct_no_deg2(t1, m)
     # inner.target is refined_bound(n, n2) and bounds the projection's length
-    seq = project_to_subtree(t, attach, inner.sequence)
-    labeling = validate_sequence(t, seq)
+    # project_to_subtree's transport, whose burn gives the labeling
+    proposals = [attach.get(y, y) for y in inner.sequence.sources]
+    seq, labels = _transport(t.adjacency, n, proposals, len(inner.sequence))
+    labeling = RoundLabeling(tuple(labels), len(seq))
     trace = (
         {"step": "augment", "order": t1.n},
         *inner.trace,

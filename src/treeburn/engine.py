@@ -172,26 +172,28 @@ def _transport(
     count: int,
     proposals: Sequence[Optional[int]],
     bound: int,
-) -> BurningSequence:
+) -> tuple[BurningSequence, list[int]]:
     """The greedy burn of proposals over the count vertices adjacency
-    connects them to, canonicalized: how construct projects, how the exact
-    searches get their witnesses, and how canonicalize fills empty rounds.
+    connects them to, canonicalized, and every vertex's round in it: how
+    construct projects, how the exact searches get their witnesses, and how
+    canonicalize fills empty rounds.
 
     A proposal the fire beat drops out, and each empty round gets the
-    lowest-id vertex burning in it.  The burn must end within bound rounds.
+    lowest-id vertex burning in it.  That vertex burns by adjacency in its
+    round, so the sequence drives this very burn when replayed strictly,
+    and the rounds are its labels.  The burn must end within bound rounds.
     """
-    kept, _, layers = _burn(adjacency, count, proposals, False)
+    kept, labels, layers = _burn(adjacency, count, proposals, False)
     if len(layers) > bound:
         raise InternalBoundViolation(
             f"transport took {len(layers)} rounds, bound {bound}"
         )
-    return BurningSequence(
-        tuple(min(layer) if s is None else s for s, layer in zip(kept, layers))
-    )
+    seq = tuple(min(layer) if s is None else s for s, layer in zip(kept, layers))
+    return BurningSequence(seq), labels
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process."""
     simulate(g, rounds)  # the strict check: every source unburned in its round
-    return _transport(g.adjacency, g.n, rounds, g.n)
+    return _transport(g.adjacency, g.n, rounds, g.n)[0]

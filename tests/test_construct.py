@@ -51,7 +51,14 @@ from treeburn.rng import SplitMix64
 
 from .reference_construct import lift as reference_lift
 from .reference_construct import reference_construct_no_deg2
-from .strategies import random_valid_schedule, trees
+from .strategies import (
+    broom,
+    bushy_path,
+    caterpillar,
+    random_valid_schedule,
+    spider,
+    trees,
+)
 
 STAR4 = [(0, 1), (0, 2), (0, 3)]
 
@@ -381,14 +388,14 @@ class TestWorkPerLevel:
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
         assert len(levels) >= 20 and len(exact_rows) == 1
-        # the levels are relabelled, not burned, and the grafted tree is
-        # not replayed: whatever the level count, the burns are the exact
-        # witness's transport and check, the innermost tree's labels, the
-        # projection, and construct_general's validation on the input tree,
-        # and the vertices they burn stay within a small multiple of the order
-        assert counts["burn"] <= 5
+        # the levels are relabelled, not burned, and no sequence is
+        # replayed: whatever the level count, the burns are the exact
+        # witness's transport and check, the innermost tree's labels and
+        # the projection, whose labels are the labeling, and the vertices
+        # they burn stay within a small multiple of the order
+        assert counts["burn"] <= 4
         assert counts["burned"] <= 4 * cert.trace[0]["order"]
-        assert counts["strict"] <= 2
+        assert counts["strict"] <= 1
         assert counts["connected_in_burn"] == 0
         # derived trees are built without a check, and a Tree trusts its
         # type for connectivity, so no level runs a connectivity pass
@@ -400,6 +407,41 @@ class TestWorkPerLevel:
         assert counts["component_vertices_beyond"] == 0
         assert counts["find_separator"] == counts["smooth"] == 0
         assert counts["tree"] <= 2
+
+    @pytest.mark.parametrize("n", [1600, 6400])
+    def test_walk_steps_linear_on_paths(self, monkeypatch, n):
+        # every separator walk reads one neighbor list per vertex it stands
+        # on; on a path the walks resume, so all levels together read about
+        # half a list per grafted vertex, where a walk from the root each
+        # level read 9 per vertex at n = 1600 and 18 at n = 6400
+        reads = [0]
+
+        class CountingAdj(list):
+            walking = False
+
+            def __getitem__(self, i):
+                reads[0] += self.walking
+                return list.__getitem__(self, i)
+
+        init, separator = construct._WorkingTree.__init__, construct._WorkingTree.separator
+
+        def counting_init(work, t):
+            init(work, t)
+            work.adj = CountingAdj(work.adj)
+
+        def counting_separator(work, p):
+            work.adj.walking = True
+            try:
+                return separator(work, p)
+            finally:
+                work.adj.walking = False
+
+        monkeypatch.setattr(construct._WorkingTree, "__init__", counting_init)
+        monkeypatch.setattr(construct._WorkingTree, "separator", counting_separator)
+        cert = construct_general(gen_path(n))
+        levels = sum(row["step"] in ("smooth", "pendant") for row in cert.trace)
+        assert levels >= 50
+        assert reads[0] <= cert.trace[0]["order"]
 
 
 def reach(adj, v, w):
@@ -482,6 +524,89 @@ class TestLevelLabels:
         # construct_no_deg2 replays nothing: its labeling is the relabel's
         cert = construct_no_deg2(t, margin(t.n))
         assert cert.labeling == validate_sequence(t, cert.sequence)
+
+
+class TestResumedWalk:
+    """The working tree's resumed separator walk on trees where it reuses
+    the most, against the per-level rebuild, with the walk's state checked
+    against a fresh rooted recount after every separator and smooth."""
+
+    @staticmethod
+    def check_walk(work):
+        order, parent = graphs._bfs_tree(work.adj, work.root)
+        size = [1] * len(parent)
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        on_path = dict(zip(work.path, work.base))
+        for x in order:
+            assert work.parent[x] == parent[x]
+            kept = on_path[x] - work.drop if x in on_path else work.size[x]
+            assert kept == size[x]
+        # the walk goes down from the root, and early[i] is the largest
+        # subtree passed over in the steps out of path[0..i]
+        assert work.path[0] == work.root
+        assert work.order() == len(order)
+        passed = 0
+        for i, (a, b) in enumerate(zip(work.path, work.path[1:])):
+            assert parent[b] == a
+            before = work.adj[a][: list(work.adj[a]).index(b)]
+            passed = max([passed] + [size[u] for u in before if u != parent[a]])
+            assert work.early[i] == passed
+        assert len(work.early) == len(work.path) - 1
+
+    @contextmanager
+    def checked_walk(self):
+        """Check the walk after every separator and smooth in the block;
+        yields the number of separator calls."""
+        separator, smooth_ = construct._WorkingTree.separator, construct._WorkingTree.smooth
+        calls = [0]
+
+        def checked_separator(work, p):
+            v, vsize = separator(work, p)
+            self.check_walk(work)
+            assert work.path[-1] == v and work.base[-1] - work.drop == vsize
+            calls[0] += 1
+            return v, vsize
+
+        def checked_smooth(work, v, vsize):
+            undo = smooth_(work, v, vsize)
+            self.check_walk(work)
+            return undo
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct._WorkingTree, "separator", checked_separator)
+            mp.setattr(construct._WorkingTree, "smooth", checked_smooth)
+            yield calls
+
+    SHAPES = {
+        **{f"path-{n}": (lambda n=n: gen_path(n)) for n in (97, 640, 2000)},
+        **{
+            f"caterpillar-{s}": (lambda s=s: caterpillar(60 + 170 * s, 1 + s % 4, s, s % 2 == 1))
+            for s in range(6)
+        },
+        **{
+            f"broom-{h}-{b}": (lambda h=h, b=b: broom(h, b, h if b % 2 else None))
+            for h, b in ((40, 3), (300, 17), (1000, 100), (1800, 200))
+        },
+        **{
+            f"spider-{s}": (lambda s=s: spider([1 + (7 * i * s) % 61 for i in range(3 + 5 * s)], s))
+            for s in range(1, 6)
+        },
+        **{
+            f"bushy-path-{s}": (lambda s=s: bushy_path(150 + 300 * s, 4 + 6 * s, 3 + 4 * s, s, s % 2 == 0))
+            for s in range(6)
+        },
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_against_rebuild_per_level(self, shape):
+        base = self.SHAPES[shape]()
+        assert base.n <= 2100
+        t, _ = augment_degree2(base)
+        with self.checked_walk() as calls:
+            for m in sorted({0, margin(t.n)}):
+                assert construct_no_deg2(t, m) == reference_construct_no_deg2(t, m)
+        assert calls[0] >= 2  # at least one walk resumed
 
 
 class TestAgainstRebuildPerLevel:
@@ -638,6 +763,18 @@ class TestConstructGeneral:
         finally:
             sys.setrecursionlimit(old)
         assert len(cert.sequence) <= cert.target
+
+    def test_labeling_is_the_strict_replay(self):
+        # the labeling is the projection's burn; replaying the sequence
+        # strictly on the input tree, as construct once did, must give it
+        corpus = [gen_random_tree(n, 300 + n) for n in range(1, 400, 7)]
+        corpus += [gen_path(n) for n in (*range(1, 40), 1000, 3200)]
+        corpus += [gen_full_binary(h) for h in range(1, 11)]
+        corpus += [caterpillar(300, 2, 5), broom(500, 40), spider([9] * 30)]
+        corpus += [bushy_path(800, 20, 15, 7, True)]
+        for t in corpus:
+            cert = construct_general(t)
+            assert cert.labeling == validate_sequence(t, cert.sequence)
 
     def test_seeded_sandwich(self):
         for i in range(40):

@@ -11,7 +11,8 @@ counts raw * NOMINAL_MS / (mean of the two blocks' median kernel times).
 Each phase records the median of its scaled runs (parse_s, construct_s,
 dump_s, verify_s), the scaled runs (parse_runs_s, ...) and the raw ones
 (parse_raw_runs_s, ...), so one slow run does not move a record and
-records from different sessions compare.  Records made before the scaling
+records from different sessions compare.  Times keep 3 significant digits
+(records before that kept 4 decimals of a second, 0.1 ms steps).  Records made before the scaling
 have no "nominal_ms" key and hold raw times.  The scaling exponent of each
 phase is fitted from the last two orders' medians,
 log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
@@ -103,9 +104,9 @@ def measure(treeburn, certs, cli, tree) -> dict:
     row = {}
     for phase, runs in times.items():
         scaled = [t for _, t in runs]
-        row[phase] = round(statistics.median(scaled), 4)
-        row[phase.replace("_s", "_runs_s")] = [round(t, 4) for t in scaled]
-        row[phase.replace("_s", "_raw_runs_s")] = [round(t, 4) for t, _ in runs]
+        row[phase] = sig3(statistics.median(scaled))
+        row[phase.replace("_s", "_runs_s")] = [sig3(t) for t in scaled]
+        row[phase.replace("_s", "_raw_runs_s")] = [sig3(t) for t, _ in runs]
     return {
         **row,
         "levels": levels,
@@ -115,6 +116,11 @@ def measure(treeburn, certs, cli, tree) -> dict:
         ).hexdigest(),
         "cert_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
+
+
+def sig3(seconds: float) -> float:
+    """seconds to 3 significant digits."""
+    return float(f"{seconds:.3g}")
 
 
 def exponents(rows) -> dict:
