@@ -549,7 +549,7 @@ class TestResumedWalk:
         passed = 0
         for i, (a, b) in enumerate(zip(work.path, work.path[1:])):
             assert parent[b] == a
-            before = work.adj[a][: list(work.adj[a]).index(b)]
+            before = work.adj[a][: work.adj[a].index(b)]
             passed = max([passed] + [size[u] for u in before if u != parent[a]])
             assert work.early[i] == passed
         assert len(work.early) == len(work.path) - 1

@@ -11,9 +11,10 @@ counts raw * NOMINAL_MS / (mean of the two blocks' median kernel times).
 Each phase records the median of its scaled runs (parse_s, construct_s,
 dump_s, verify_s), the scaled runs (parse_runs_s, ...) and the raw ones
 (parse_raw_runs_s, ...), so one slow run does not move a record and
-records from different sessions compare.  Times keep 3 significant digits
-(records before that kept 4 decimals of a second, 0.1 ms steps).  Records made before the scaling
-have no "nominal_ms" key and hold raw times.  The scaling exponent of each
+records from different sessions compare.  Times keep 3 significant
+digits; earlier records kept 4 decimals of a second (0.1 ms steps).
+Records made before the scaling have no "nominal_ms" key and hold raw
+times.  The scaling exponent of each
 phase is fitted from the last two orders' medians,
 log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
 checkout that was timed ("-dirty" when its tracked files differ from that
