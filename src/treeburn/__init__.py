@@ -33,7 +33,6 @@ from .graphs import (  # noqa: F401
     augment_degree2,
     bfs_distances,
     build_graph,
-    component_vertices_beyond,
     degree2_census,
     gen_cycle,
     gen_double_star,
@@ -41,7 +40,6 @@ from .graphs import (  # noqa: F401
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    induced_subtree,
     labeled_trees,
     prufer_decode,
 )
@@ -49,8 +47,5 @@ from .construct import (  # noqa: F401
     BoundCertificate,
     construct_general,
     construct_no_deg2,
-    find_separator,
-    lift_sequence,
     project_to_subtree,
-    smooth,
 )

@@ -121,7 +121,7 @@ def verify_document(doc: dict) -> dict:
     if len(seq) > target:
         raise VerificationFailure("sequence longer than target")
     try:
-        _, labels, layers = _burn(adj, n, seq.sources, strict=True)
+        _, labels, layers = _burn(adj, seq.sources, strict=True)
         total_rounds = len(layers)
         if total_rounds != len(seq):
             raise LengthMismatch(total_rounds)

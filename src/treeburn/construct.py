@@ -189,7 +189,7 @@ def lift_sequence(
         raise StructureMismatch("sources must be vertices of the smoothed tree")
 
     proposals = [v] + [to_parent[s] for s in seq_prime.sources]
-    return _transport(t.adjacency, t.n, proposals, len(seq_prime) + 1)[0]
+    return _transport(t.adjacency, proposals, len(seq_prime) + 1)[0]
 
 
 class _WorkingTree:
@@ -496,7 +496,7 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
                 raise InternalBoundViolation(
                     f"exact solve gave {len(witness)} > target {target}"
                 )
-            inner_labels = _burn(small.adjacency, n, witness.sources, False)[1]
+            inner_labels = _burn(small.adjacency, witness.sources, False)[1]
             sources = [inner[s] for s in witness.sources]
             row["length"] = len(sources)
             break
@@ -541,20 +541,22 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
 
 def project_to_subtree(
     t: Tree, attach: Mapping[int, int], seq: BurningSequence
-) -> BurningSequence:
+) -> tuple[BurningSequence, RoundLabeling]:
     """Replay a sequence for the grafted tree on t, where (grafted tree,
-    attach) is augment_degree2(t).
+    attach) is augment_degree2(t); returns the projected sequence and its
+    labeling on t.
 
     A vertex of t maps to itself, and a grafted leaf to its attachment
     vertex: the leaf's only neighbor, hence its unique nearest vertex of t.
     Sources the fire beat are dropped.  The result is never longer than
-    seq; it is the canonical form of the greedy run, so it needs no
-    replay.
+    seq; it is the canonical form of the greedy run, which it drives
+    exactly, so the run's rounds are its labeling and it needs no replay.
     """
     proposals = [attach.get(y, y) for y in seq.sources]
     if not all(0 <= x < t.n for x in proposals):
         raise StructureMismatch("a source is neither a vertex of t nor a grafted leaf")
-    return _transport(t.adjacency, t.n, proposals, len(seq))[0]
+    projected, labels = _transport(t.adjacency, proposals, len(seq))
+    return projected, RoundLabeling(tuple(labels), len(projected))
 
 
 def construct_general(t: Tree) -> BoundCertificate:
@@ -570,10 +572,7 @@ def construct_general(t: Tree) -> BoundCertificate:
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     inner = construct_no_deg2(t1, m)
     # inner.target is refined_bound(n, n2) and bounds the projection's length
-    # project_to_subtree's transport, whose burn gives the labeling
-    proposals = [attach.get(y, y) for y in inner.sequence.sources]
-    seq, labels = _transport(t.adjacency, n, proposals, len(inner.sequence))
-    labeling = RoundLabeling(tuple(labels), len(seq))
+    seq, labeling = project_to_subtree(t, attach, inner.sequence)
     trace = (
         {"step": "augment", "order": t1.n},
         *inner.trace,

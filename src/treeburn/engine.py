@@ -56,14 +56,13 @@ class RoundLabeling:
 
 def _burn(
     adjacency: Sequence[Sequence[int]],
-    count: int,
     rounds: Sequence[Optional[int]],
     strict: bool,
 ) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
     """The round loop shared by simulate, greedy_schedule, the transport
     step, construct's innermost tree and the certificate verifier: run the
-    process on adjacency until count vertices burn.  Neighbor order does
-    not change a vertex's round, so adjacency need not be sorted.
+    process on adjacency until every vertex burns.  Neighbor order does not
+    change a vertex's round, so adjacency need not be sorted.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise; when strict, so
@@ -72,10 +71,8 @@ def _burn(
     every vertex's round (0 for one that never burned) and the vertices
     each round burned.
 
-    count is the order of a connected graph, or the order of the component
-    of adjacency the sources lie in.  Every round burns some vertex until
-    the last, so a round that burns none raises NotConnected instead of
-    looping forever.
+    Every round burns some vertex until the last, so a round that burns
+    none raises NotConnected instead of looping forever.
     """
     n = len(adjacency)
     if not rounds or rounds[0] is None:
@@ -86,7 +83,7 @@ def _burn(
     burned_count = 0
     kept: list[Optional[int]] = []
     r = 0
-    while burned_count < count:
+    while burned_count < n:
         r += 1
         newly: list[int] = []
         burn = newly.append
@@ -128,7 +125,7 @@ def _burn_graph(
     Tree.is_connected trusts the type."""
     if g.n == 0 or not g.is_connected():
         raise NotConnected("burning is defined on connected graphs")
-    return _burn(g.adjacency, g.n, rounds, strict)
+    return _burn(g.adjacency, rounds, strict)
 
 
 def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:
@@ -169,21 +166,20 @@ def greedy_schedule(
 
 def _transport(
     adjacency: Sequence[Sequence[int]],
-    count: int,
     proposals: Sequence[Optional[int]],
     bound: int,
 ) -> tuple[BurningSequence, list[int]]:
-    """The greedy burn of proposals over the count vertices adjacency
-    connects them to, canonicalized, and every vertex's round in it: how
-    construct projects, how the exact searches get their witnesses, and how
-    canonicalize fills empty rounds.
+    """The greedy burn of proposals over a connected adjacency,
+    canonicalized, and every vertex's round in it: how construct projects,
+    how the exact searches get their witnesses, and how canonicalize fills
+    empty rounds.
 
     A proposal the fire beat drops out, and each empty round gets the
     lowest-id vertex burning in it.  That vertex burns by adjacency in its
     round, so the sequence drives this very burn when replayed strictly,
     and the rounds are its labels.  The burn must end within bound rounds.
     """
-    kept, labels, layers = _burn(adjacency, count, proposals, False)
+    kept, labels, layers = _burn(adjacency, proposals, False)
     if len(layers) > bound:
         raise InternalBoundViolation(
             f"transport took {len(layers)} rounds, bound {bound}"
@@ -196,4 +192,4 @@ def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
     producing a burning sequence that induces the identical process."""
     simulate(g, rounds)  # the strict check: every source unburned in its round
-    return _transport(g.adjacency, g.n, rounds, g.n)[0]
+    return _transport(g.adjacency, rounds, g.n)[0]

@@ -275,7 +275,7 @@ def _solve(graph: Graph, search) -> ExactResult:
         raise SearchBudgetExceeded(
             f"{exc}; {k} <= b <= {search.upper} (every smaller k ruled out)"
         ) from None
-    seq = _transport(graph.adjacency, graph.n, proposals, k)[0]
+    seq = _transport(graph.adjacency, proposals, k)[0]
     validate_sequence(graph, seq)  # the search result is never trusted blindly
     if len(seq) != k:
         raise InternalBoundViolation(f"search missed a sequence of length {len(seq)}")

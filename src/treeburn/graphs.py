@@ -8,7 +8,6 @@ Induced subtrees carry a relabeling map back to their source tree.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -147,16 +146,11 @@ def _bfs_tree(
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks unreachable vertices."""
     _require_vertices(g, source)
+    order, parent = _bfs_tree(g.adjacency, source)
     dist = [-1] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
+    for u in order[1:]:  # a parent comes before its children
+        dist[u] = dist[parent[u]] + 1
     return dist
 
 

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from treeburn import (
-    BurningSequence,
-    ceil_sqrt,
+from treeburn import BurningSequence, ceil_sqrt, validate_sequence
+from treeburn.construct import (
+    EXACT_FALLBACK_N,
+    BoundCertificate,
     find_separator,
-    induced_subtree,
     smooth,
-    validate_sequence,
 )
-from treeburn.construct import EXACT_FALLBACK_N, BoundCertificate
 from treeburn.engine import _burn
 from treeburn.exact import _Search
+from treeburn.graphs import induced_subtree
 
 
 _WITNESSES: dict = {}
@@ -45,13 +44,13 @@ def exact_witness(tree) -> BurningSequence:
     return seq
 
 
-def lift(adjacency, count, proposals, bound, in_part):
-    """The greedy burn of proposals over the count vertices adjacency
-    connects them to, and its round count.  The part, the burned vertices
-    in_part holds for, must burn within bound rounds.  Each empty round
-    gets the lowest-id vertex burning in it: from the part up to the round
-    that burns the last of the part, from every burned vertex after that."""
-    kept, _, layers = _burn(adjacency, count, proposals, False)
+def lift(adjacency, proposals, bound, in_part):
+    """The greedy burn of proposals over a connected adjacency, and its
+    round count.  The part, the burned vertices in_part holds for, must
+    burn within bound rounds.  Each empty round gets the lowest-id vertex
+    burning in it: from the part up to the round that burns the last of
+    the part, from every burned vertex after that."""
+    kept, _, layers = _burn(adjacency, proposals, False)
     part_rounds = max(
         r for r, layer in enumerate(layers, 1) if any(map(in_part, layer))
     )
@@ -116,7 +115,7 @@ def reference_construct_no_deg2(t, m: int) -> BoundCertificate:
         assert len(seq) <= row["target"] - 1
         proposals = [v] + [to_parent[s] for s in seq.sources]
         seq, total_rounds = lift(
-            level.adjacency, level.n, proposals, len(seq) + 1,
+            level.adjacency, proposals, len(seq) + 1,
             lambda x: light[x] == 0,
         )
         assert total_rounds <= row["target"]

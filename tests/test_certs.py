@@ -175,7 +175,7 @@ class TestUntrustedTree:
             "bound_table": bounds.as_dict(),
         }
         adj = [[], [2, 3], [1, 3], [1, 2]]
-        _, labels, layers = engine._burn(adj, 4, doc["sequence"], True)
+        _, labels, layers = engine._burn(adj, doc["sequence"], True)
         assert (labels, len(layers)) == ([2, 1, 2, 2], 2)
         with pytest.raises(VerificationFailure) as failure:
             verify_document(doc)

@@ -19,34 +19,31 @@ from treeburn import (
     burning_number,
     canonicalize,
     ceil_sqrt,
-    component_vertices_beyond,
     construct_general,
     construct_no_deg2,
     degree2_census,
-    find_separator,
     gen_double_star,
     gen_full_binary,
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
     greedy_schedule,
-    induced_subtree,
     labeled_trees,
-    lift_sequence,
     project_to_subtree,
     prufer_decode,
     refined_bound,
-    smooth,
     validate_sequence,
 )
 from treeburn import Tree, construct, engine, exact, graphs
 from treeburn.bounds import margin
+from treeburn.construct import find_separator, lift_sequence, smooth
 from treeburn.errors import (
     DegreeTooSmall,
     NotAcyclic,
     PreconditionViolated,
     StructureMismatch,
 )
+from treeburn.graphs import component_vertices_beyond, induced_subtree
 from treeburn.rng import SplitMix64
 
 from .reference_construct import lift as reference_lift
@@ -346,13 +343,13 @@ class TestWorkPerLevel:
         burn, is_connected = engine._burn, Graph.is_connected
         tree_init = Tree.__init__
 
-        def counting_burn(adjacency, count, rounds, strict):
+        def counting_burn(adjacency, rounds, strict):
             counts["burn"] += 1
-            counts["burned"] += count
+            counts["burned"] += len(adjacency)
             counts["strict"] += strict
             inside.append(1)
             try:
-                return burn(adjacency, count, rounds, strict)
+                return burn(adjacency, rounds, strict)
             finally:
                 inside.pop()
 
@@ -469,15 +466,22 @@ class TestLevelLabels:
             proposals = [v, *labels.src[level + 2 : labels.end + 1]]
             rounds = relabel(labels, adj, level, v, w, target)
             light = set(reach(adj, v, w))  # v and its light side
-            tree = reach(adj, v, None)  # the level's tree, restored
-            _, burned, _ = engine._burn(adj, len(tree), proposals, False)
-            assert [labels.labels[x] - level for x in tree] == [burned[x] for x in tree]
+            # the level's tree, restored, in ascending ids: the relabelling
+            # is monotone, so every min-id tie-break falls the same way
+            tree = sorted(reach(adj, v, None))
+            local = {x: i for i, x in enumerate(tree)}
+            level_adj = [[local[y] for y in adj[x]] for x in tree]
+            local_proposals = [local[x] for x in proposals]
+            _, burned, _ = engine._burn(level_adj, local_proposals, False)
+            assert [labels.labels[x] - level for x in tree] == burned
             seq, total = reference_lift(
-                adj, len(tree), proposals, len(proposals),
-                lambda x: x == v or x not in light,
+                level_adj, local_proposals, len(proposals),
+                lambda i: tree[i] == v or tree[i] not in light,
             )
             assert rounds == total
-            assert tuple(labels.src[level + 1 : level + 1 + rounds]) == seq.sources
+            assert labels.src[level + 1 : level + 1 + rounds] == [
+                tree[i] for i in seq.sources
+            ]
             levels.append(level)
             return rounds
 
@@ -666,7 +670,7 @@ class TestProjectToSubtree:
     def test_identity(self):
         t = gen_path(3)
         seq = BurningSequence((1, 0))
-        assert project_to_subtree(t, {}, seq).sources == (1, 0)
+        assert project_to_subtree(t, {}, seq)[0].sources == (1, 0)
 
     def test_middle_leaf_host(self):
         # grafting P3 hangs leaf 3 on its middle vertex
@@ -677,7 +681,7 @@ class TestProjectToSubtree:
         for sources in ((1, 0), (3, 0, 2)):
             seq = BurningSequence(sources)
             validate_sequence(t1, seq)
-            projected = project_to_subtree(t, attach, seq)
+            projected = project_to_subtree(t, attach, seq)[0]
             assert projected.sources == (1, 0)
             assert validate_sequence(t, projected).total_rounds == 2
 
@@ -686,7 +690,7 @@ class TestProjectToSubtree:
         t = as_tree(build_graph(3, [(0, 1), (0, 2)]))
         t1, attach = augment_degree2(t)
         assert (t1.edges(), attach) == (STAR4, {3: 0})
-        projected = project_to_subtree(t, attach, BurningSequence((0, 1)))
+        projected = project_to_subtree(t, attach, BurningSequence((0, 1)))[0]
         assert projected.sources == (0, 1)
 
     def test_source_outside_the_grafting_rejected(self):
@@ -701,9 +705,9 @@ class TestProjectToSubtree:
     def test_projection_never_longer(self, t, seed):
         t1, attach = augment_degree2(t)
         seq = canonicalize(t1, random_valid_schedule(t1, seed))
-        projected = project_to_subtree(t, attach, seq)
+        projected, labeling = project_to_subtree(t, attach, seq)
         assert len(projected) <= len(seq)
-        validate_sequence(t, projected)
+        assert labeling == validate_sequence(t, projected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -719,7 +723,7 @@ def test_projection_matches_nearest_vertex_oracle(t):
         dist = bfs_distances(t1, y)
         nearest.append(min(range(t.n), key=lambda x: (dist[x], x)))
     rounds, _ = greedy_schedule(t, nearest)
-    assert project_to_subtree(t, attach, witness) == canonicalize(t, rounds)
+    assert project_to_subtree(t, attach, witness)[0] == canonicalize(t, rounds)
 
 
 class TestConstructGeneral:

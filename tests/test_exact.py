@@ -15,7 +15,6 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    induced_subtree,
     labeled_trees,
     spanning_tree_min,
     validate_sequence,
@@ -23,6 +22,7 @@ from treeburn import (
 from treeburn import exact
 from treeburn.errors import NotConnected, SearchBudgetExceeded, TooLarge
 from treeburn.exact import _burning_number_general, _Search
+from treeburn.graphs import induced_subtree
 from treeburn.rng import SplitMix64
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

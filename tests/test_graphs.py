@@ -9,7 +9,6 @@ from treeburn import (
     augment_degree2,
     bfs_distances,
     build_graph,
-    component_vertices_beyond,
     degree2_census,
     gen_cycle,
     gen_double_star,
@@ -17,10 +16,8 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    induced_subtree,
     labeled_trees,
     prufer_decode,
-    smooth,
 )
 from treeburn.errors import (
     DuplicateEdge,
@@ -30,7 +27,8 @@ from treeburn.errors import (
     NotConnected,
     VertexOutOfRange,
 )
-from treeburn.graphs import _bfs_tree
+from treeburn.construct import smooth
+from treeburn.graphs import _bfs_tree, component_vertices_beyond, induced_subtree
 
 from .strategies import trees
 
