@@ -30,8 +30,7 @@ from .errors import TooLarge
 from .exact import burning_number
 from .graphs import (
     Graph,
-    Tree,
-    _tree_lists,
+    _tree,
     as_tree,
     build_graph,
     gen_cycle,
@@ -91,10 +90,10 @@ def parse_edge_list(text: str, name: str = "<input>") -> Graph:
     layout format_edge_list writes is tokenized by one json.loads; any
     other text, or one json rejects (leading zeros, an integer past int's
     digit limit), is read line by line, which words every layout error.
-    n - 1 edges that graphs._tree_lists, the check verify_document also
-    runs, proves a tree come back as a Tree with sorted neighbors; any
-    other edge list goes to build_graph, which returns a bare Graph or
-    raises."""
+    n - 1 edges come back as the Tree graphs._tree makes when
+    graphs._tree_lists, the check verify_document also runs, proves them a
+    tree; any other edge list goes to build_graph, which returns a bare
+    Graph or raises."""
     numbers = None
     if _PLAIN_LAYOUT.fullmatch(text):
         try:
@@ -113,11 +112,8 @@ def parse_edge_list(text: str, name: str = "<input>") -> Graph:
         raise ParseError(f"{name}: vertex count {n} is negative")
     if n > len(edges) + 1:
         raise ParseError(f"{name}: {len(edges)} edges cannot connect {n} vertices")
-    if len(edges) == n - 1:
-        adj = _tree_lists(n, edges)
-        if adj is not None:
-            list(map(list.sort, adj))
-            return Tree(tuple(map(tuple, adj)))
+    if len(edges) == n - 1 and (tree := _tree(n, edges)) is not None:
+        return tree
     try:
         return build_graph(n, edges)
     except ValueError as exc:

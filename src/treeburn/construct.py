@@ -52,7 +52,6 @@ from .graphs import (
     _bfs_tree,
     _require_vertices,
     augment_degree2,
-    degree2_census,
 )
 
 # Exact solving is instantaneous at this size and covers every order where
@@ -220,10 +219,14 @@ class _WorkingTree:
     def __init__(self, t: Tree):
         n = t.n
         adj = list(t.adjacency)
-        root = next((x for x in range(n) if len(adj[x]) == 1), 0)
+        degrees = list(map(len, adj))
+        if 2 in degrees:
+            listing = [v for v, d in enumerate(degrees) if d == 2]
+            raise PreconditionViolated(f"tree has degree-2 vertices: {listing}")
+        root = next((x for x in range(n) if degrees[x] == 1), 0)
         order, parent = _bfs_tree(adj, root)
         # a hand-built Tree with a cycle would send the walks below round it
-        ends = sum(map(len, adj))
+        ends = sum(degrees)
         if len(order) != n or ends != 2 * (n - 1):
             raise NotAcyclic(f"{ends} edge ends on {n} vertices, {len(order)} reached")
         size = [1] * n
@@ -455,13 +458,11 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
     lifted back up level by level while the light branches burn by
     propagation; each lift relabels only what its level changes
     (_LevelLabels); the outermost level's labels are the labeling, and no
-    burn replays the sequence.  Preconditions are checked once, on t; levels
-    check only lengths.  Every level is a state of one _WorkingTree, in t's
-    ids, whose separator walk resumes where the last level's stopped.
+    burn replays the sequence.  Preconditions are checked once, on t, the
+    degree-2 one by _WorkingTree from the degrees its cycle check reads;
+    levels check only lengths.  Every level is a state of one _WorkingTree,
+    in t's ids, whose separator walk resumes where the last level's stopped.
     """
-    count2, listing = degree2_census(t)
-    if count2:
-        raise PreconditionViolated(f"tree has degree-2 vertices: {listing}")
     if m < 0:
         raise PreconditionViolated("margin must be nonnegative")
     if t.n < m * (m + 1) + 1:

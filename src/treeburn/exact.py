@@ -59,7 +59,7 @@ from .errors import (
     SearchBudgetExceeded,
     TooLarge,
 )
-from .graphs import Graph, Tree, _bfs_tree, as_tree, bfs_distances, build_graph
+from .graphs import Graph, Tree, _bfs_tree, _tree, as_tree, bfs_distances
 
 NAIVE_MAX_N = 12
 SPANNING_MAX_N = 8
@@ -319,25 +319,11 @@ def burning_number_naive(g: Graph) -> ExactResult:
 
 
 def _spanning_trees(graph: Graph):
+    """Every spanning tree: each n - 1 edges that graphs._tree proves a tree."""
     n = graph.n
     for subset in combinations(graph.edges(), n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            yield as_tree(build_graph(n, subset))
+        if (tree := _tree(n, subset)) is not None:
+            yield tree
 
 
 def spanning_tree_min(g: Graph) -> int:

@@ -53,11 +53,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree(Graph):
-    """Connected acyclic graph.  A Tree is made by as_tree() or by
-    cli.parse_edge_list (through _tree_lists), which check this, or derived
-    from a Tree by grafting leaves (augment_degree2) or by smoothing a
-    vertex (construct.smooth), both of which keep it a tree.  Connectivity
-    checks trust the type instead of running a pass."""
+    """Connected acyclic graph, made from an edge list by _tree (generators,
+    parse_edge_list, the spanning-tree oracle) or from a Graph by as_tree(),
+    which check this, or derived from a Tree by grafting leaves
+    (augment_degree2) or by smoothing a vertex (construct.smooth), both of
+    which keep it a tree.  Connectivity checks trust the type instead of
+    running a pass."""
 
     def is_connected(self) -> bool:
         return self.n > 0
@@ -115,6 +116,16 @@ def _tree_lists(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]] | Non
         adj[u].append(v)
         adj[v].append(u)
     return adj if len(_bfs_tree(adj, 0)[0]) == n else None
+
+
+def _tree(n: int, edges: Iterable[Sequence[int]]) -> Tree | None:
+    """A Tree with sorted neighbor tuples when _tree_lists proves the n - 1
+    given edges on n >= 1 vertices a tree, else None."""
+    adj = _tree_lists(n, edges)
+    if adj is None:
+        return None
+    list(map(list.sort, adj))
+    return Tree(tuple(map(tuple, adj)))
 
 
 def _require_vertices(g: Graph, *vs: int) -> None:
@@ -212,7 +223,9 @@ def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, 
         for u, v in t.edges()
         if u in local and v in local
     ]
-    return as_tree(build_graph(len(vs), edges)), tuple(vs)
+    if len(edges) != len(vs) - 1 or (tree := _tree(len(vs), edges)) is None:
+        tree = as_tree(build_graph(len(vs), edges))  # raises, wording the fault
+    return tree, tuple(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +252,7 @@ def prufer_decode(code: Sequence[int]) -> Tree:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
-    return as_tree(build_graph(n, edges))
+    return _tree(n, edges)
 
 
 def labeled_trees(n: int) -> Iterator[Tree]:
@@ -247,7 +260,7 @@ def labeled_trees(n: int) -> Iterator[Tree]:
     if n < 1:
         raise ValueError("tree needs n >= 1")
     if n == 1:
-        return iter([as_tree(build_graph(1, []))])
+        return iter([_tree(1, [])])
     return map(prufer_decode, product(range(n), repeat=n - 2))
 
 
@@ -258,7 +271,7 @@ def labeled_trees(n: int) -> Iterator[Tree]:
 def gen_path(n: int) -> Tree:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+    return _tree(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
@@ -278,7 +291,7 @@ def gen_full_binary(height: int) -> Tree:
         for c in (2 * v + 1, 2 * v + 2):
             if c < n:
                 edges.append((v, c))
-    return as_tree(build_graph(n, edges))
+    return _tree(n, edges)
 
 
 def gen_double_star(s: int, t: int) -> Tree:
@@ -288,7 +301,7 @@ def gen_double_star(s: int, t: int) -> Tree:
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(s)]
     edges += [(1, 2 + s + j) for j in range(t)]
-    return as_tree(build_graph(2 + s + t, edges))
+    return _tree(2 + s + t, edges)
 
 
 def gen_random_tree(n: int, seed: int) -> Tree:
@@ -296,9 +309,7 @@ def gen_random_tree(n: int, seed: int) -> Tree:
     if n < 1:
         raise ValueError("tree needs n >= 1")
     if n == 1:
-        return as_tree(build_graph(1, []))
-    if n == 2:
-        return gen_path(2)
+        return _tree(1, [])
     rng = SplitMix64(seed)
     return prufer_decode([rng.below(n) for _ in range(n - 2)])
 

@@ -296,6 +296,25 @@ class TestConstructNoDeg2:
     def test_degree2_rejected(self):
         with pytest.raises(PreconditionViolated):
             construct_no_deg2(gen_path(3), 0)
+        with pytest.raises(PreconditionViolated, match=r"vertices: \[1, 2, 3\]$"):
+            construct_no_deg2(gen_path(5), 0)
+
+    def test_one_degree2_census_per_certified_tree(self, monkeypatch):
+        # augment_degree2's census on t is the only one: the grafted tree's
+        # degree-2 check reads the degrees the working tree takes anyway
+        calls = []
+        census = graphs.degree2_census
+
+        def counting(t):
+            calls.append(t.n)
+            return census(t)
+
+        for module in (graphs, construct):
+            monkeypatch.setattr(module, "degree2_census", counting, raising=False)
+        trees = [gen_path(40), gen_random_tree(300, 1), gen_full_binary(6)]
+        for i, t in enumerate(trees, 1):
+            construct_general(t)
+            assert calls == [x.n for x in trees[:i]]
 
     def test_seeded_corpus_certificates(self):
         for i in range(60):

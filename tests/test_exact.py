@@ -4,6 +4,7 @@ import pytest
 
 from treeburn import (
     BurningSequence,
+    as_tree,
     bfs_distances,
     burning_number,
     burning_number_naive,
@@ -300,6 +301,33 @@ class TestSpanningTreeMin:
     def test_guard(self):
         with pytest.raises(TooLarge):
             spanning_tree_min(gen_path(9))
+
+
+class TestSpanningTrees:
+    """The oracle's spanning trees, counted by the matrix-tree theorem:
+    n for the cycle C_n, n^(n-2) for K_n, and 1 for a tree."""
+
+    @staticmethod
+    def checked(g):
+        trees = list(exact._spanning_trees(g))
+        for t in trees:
+            assert t == as_tree(build_graph(g.n, t.edges()))
+            assert set(t.edges()) <= set(g.edges())
+        assert len(set(trees)) == len(trees)
+        return trees
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_cycle(self, n):
+        assert len(self.checked(gen_cycle(n))) == n
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_complete(self, n):
+        k = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert len(self.checked(k)) == n ** (n - 2)
+
+    def test_tree(self):
+        t = gen_random_tree(8, 3)
+        assert self.checked(t) == [t]
 
 
 def _random_connected_subtree(t, size: int, seed: int):

@@ -233,6 +233,32 @@ class TestGenerators:
             assert 20 <= t.n <= 40
             assert degree2_census(t)[0] == 0
 
+    def test_outputs_equal_the_checked_route(self):
+        """Each generator builds its Tree through one check, _tree; the
+        edge-key set, sort and BFS of build_graph plus as_tree stay the
+        reference it must equal."""
+        outputs = [gen_path(n) for n in range(1, 40)]
+        outputs += [gen_full_binary(h) for h in range(9)]
+        outputs += [gen_double_star(s, t) for s in range(5) for t in range(5)]
+        for n in range(1, 7):
+            outputs += labeled_trees(n)
+        for n in range(1, 61):
+            for seed in range(4):
+                outputs += [gen_random_tree(n, seed), gen_random_no_deg2(n, seed)]
+        for t in outputs:
+            assert type(t) is Tree
+            assert t == as_tree(build_graph(t.n, t.edges()))
+
+    def test_random_tree_of_order_two_is_the_path(self):
+        for seed in range(10):
+            assert gen_random_tree(2, seed) == gen_path(2)
+
+    def test_disconnected_induced_subtree_is_worded(self):
+        with pytest.raises(NotConnected):
+            induced_subtree(gen_path(5), [0, 1, 3])
+        with pytest.raises(NotConnected):
+            induced_subtree(gen_path(5), [])
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             gen_path(0)
