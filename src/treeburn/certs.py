@@ -1,6 +1,7 @@
 """Certificate documents: JSON serialization and self-contained verification.
 
-A certificate embeds the tree, the burning sequence, the claimed labeling,
+A certificate embeds the tree (as a parent array rooted at vertex 0 since
+schema 4, as an edge list before), the burning sequence, the claimed labeling,
 and the bound values.  verify_document() recomputes everything from the
 embedded tree and sequence alone, so a certificate stands or falls on pure
 simulation regardless of who produced it.
@@ -16,20 +17,20 @@ from .bounds import bound_table
 from .construct import BoundCertificate
 from .engine import BurningSequence, _burn
 from .errors import LengthMismatch
-from .graphs import _tree_lists, as_tree, build_graph
+from .graphs import _bfs_tree, _tree_lists, as_tree, build_graph
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def document_from_certificate(
     cert: BoundCertificate, seed: Optional[int] = None
 ) -> dict:
-    adj = cert.tree.adjacency
-    edges = [[u, v] for u, a in enumerate(adj) for v in a if u < v]  # Graph.edges()'s order
+    # parent[v] is v's neighbor towards vertex 0, -1 at 0: one encoding per tree
+    parent = _bfs_tree(cert.tree.adjacency, 0)[1]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "tree": {"n": cert.tree.n, "edges": edges},
+        "tree": {"n": cert.tree.n, "parent": parent},
         "n": cert.n,
         "n2": cert.n2,
         "m": cert.m,
@@ -59,13 +60,16 @@ class VerificationFailure(Exception):
 
 
 def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
-    """The embedded tree's neighbor lists, unsorted.  After the type checks,
-    graphs._tree_lists, the one tree check cli.parse_edge_list also runs,
-    proves the n - 1 edges a tree by one loop and one BFS.  On a fault,
-    build_graph and as_tree raise, so a reason names the first fault they
-    meet."""
+    """The embedded tree's neighbor lists, unsorted.  The tree is a parent
+    array (schema 4, _parent_tree) or, in schemas 1-3, a list of n - 1
+    edges.  After the type checks, graphs._tree_lists, the one tree check
+    cli.parse_edge_list also runs, proves the n - 1 edges a tree by one
+    loop and one BFS.  On a fault, build_graph and as_tree raise, so a
+    reason names the first fault they meet."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
+    if "parent" in tree_obj:
+        return _parent_tree(n, tree_obj)
     edges = tree_obj["edges"]
     # Checked before anything is allocated in proportion to n.
     if type(n) is not int:
@@ -80,6 +84,34 @@ def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
     if adj is not None:
         return adj
     return as_tree(build_graph(n, edges)).adjacency
+
+
+def _parent_tree(n: int, tree_obj: dict) -> Sequence[Sequence[int]]:
+    """The neighbor lists of the edges (v, parent[v]) for v in 1..n-1, where
+    parent[0] is -1; the same proof and the same fault words as the edge
+    list's."""
+    if "edges" in tree_obj:
+        raise ValueError("tree holds both edges and parent")
+    parent = tree_obj["parent"]
+    # Checked before anything is allocated in proportion to n, and before
+    # parent[0] is read.
+    if type(n) is not int:
+        raise TypeError(f"tree order {n!r} is not an integer")
+    if n < 1:
+        raise ValueError(f"tree order {n} is below 1")
+    if type(parent) is not list:
+        raise TypeError(f"parent is a {type(parent).__name__}, not a list")
+    if len(parent) != n:
+        raise ValueError(f"{len(parent)} parent entries for {n} vertices")
+    if set(map(type, parent)) != {int}:
+        v = next(v for v, p in enumerate(parent) if type(p) is not int)
+        raise TypeError(f"parent {parent[v]!r} of vertex {v} is not an integer")
+    if parent[0] != -1:
+        raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
+    adj = _tree_lists(n, zip(range(1, n), parent[1:]))
+    if adj is not None:
+        return adj
+    return as_tree(build_graph(n, list(zip(range(1, n), parent[1:])))).adjacency
 
 
 def _check_claim(doc: dict, key: str, value: int, what: str) -> None:

@@ -3,7 +3,9 @@ differential tests.
 
 The tree is built the checked way: every edge's type, then build_graph
 (edge-key set, sorted neighbor tuples) and as_tree (connectivity BFS, edge
-count), and the sequence is replayed by validate_sequence on that Tree.
+count), and the sequence is replayed by validate_sequence on that Tree.  A
+parent array (schema 4) gets the same first checks as verify_document's,
+then the same build on the edges (v, parent[v]) for v in 1..n-1.
 Tests compare its reasons and summaries with verify_document's, document
 for document.
 """
@@ -19,6 +21,8 @@ from treeburn.graphs import Tree, as_tree, build_graph, degree2_census
 def _tree_from_doc(doc: dict) -> Tree:
     tree_obj = doc["tree"]
     n = tree_obj["n"]
+    if "parent" in tree_obj:
+        return _parent_tree(n, tree_obj)
     edges = tree_obj["edges"]
     if type(n) is not int:
         raise TypeError(f"tree order {n!r} is not an integer")
@@ -29,6 +33,26 @@ def _tree_from_doc(doc: dict) -> Tree:
         if not pair:
             raise TypeError(f"edge {e!r} is not a pair of integers")
     return as_tree(build_graph(n, edges))
+
+
+def _parent_tree(n, tree_obj: dict) -> Tree:
+    if "edges" in tree_obj:
+        raise ValueError("tree holds both edges and parent")
+    parent = tree_obj["parent"]
+    if type(n) is not int:
+        raise TypeError(f"tree order {n!r} is not an integer")
+    if n < 1:
+        raise ValueError(f"tree order {n} is below 1")
+    if type(parent) is not list:
+        raise TypeError(f"parent is a {type(parent).__name__}, not a list")
+    if len(parent) != n:
+        raise ValueError(f"{len(parent)} parent entries for {n} vertices")
+    for v, p in enumerate(parent):
+        if type(p) is not int:
+            raise TypeError(f"parent {p!r} of vertex {v} is not an integer")
+    if parent[0] != -1:
+        raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
+    return as_tree(build_graph(n, [(v, parent[v]) for v in range(1, n)]))
 
 
 def reference_verify_document(doc: dict) -> dict:

@@ -1,16 +1,21 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeburn import (
+    bfs_distances,
     construct_general,
     engine,
+    gen_double_star,
+    gen_full_binary,
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
@@ -46,11 +51,25 @@ def certificate(n: int, seed: int, generator=gen_random_tree) -> dict:
     return json.loads(dump_document(doc))
 
 
+def edges_layout(doc: dict) -> dict:
+    """A schema-4 certificate rewritten in the schema-3 layout: the tree as
+    its edge list in Graph.edges() order instead of a parent array."""
+    doc = copy.deepcopy(doc)
+    parent = doc["tree"].pop("parent")
+    doc["tree"]["edges"] = sorted(sorted([v, p]) for v, p in enumerate(parent) if v)
+    doc["schema_version"] = "3"
+    return doc
+
+
+def path9_edges() -> dict:
+    return edges_layout(certificate(9, 0, lambda n, seed: gen_path(n)))
+
+
 class TestFlatTrace:
     def test_rows_hold_scalars_only_and_depth_is_constant(self):
         small, large = certificate(100, 11), certificate(3200, 12)
         for doc in (small, large):
-            assert doc["schema_version"] == "3"
+            assert doc["schema_version"] == "4"
             steps = [row["step"] for row in doc["trace"]]
             assert steps[0] == "augment" and steps[-1] == "project"
             assert set(steps[1:-1]) <= {"exact", "pendant", "smooth"}
@@ -113,8 +132,8 @@ class TestCompactDump:
 
 
 class TestUntrustedTree:
-    def test_claimed_order_is_not_allocated_before_checking(self):
-        doc = {"tree": {"n": 2_000_000, "edges": []}}
+    @staticmethod
+    def assert_not_allocated(doc):
         tracemalloc.start()
         try:
             with pytest.raises(VerificationFailure, match="^malformed tree: "):
@@ -123,6 +142,12 @@ class TestUntrustedTree:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_claimed_order_is_not_allocated_before_checking(self):
+        self.assert_not_allocated({"tree": {"n": 2_000_000, "edges": []}})
+
+    def test_claimed_order_is_not_allocated_before_checking_parent(self):
+        self.assert_not_allocated({"tree": {"n": 2_000_000, "parent": []}})
 
     @pytest.mark.parametrize("n", ["3", 3.0, True, None])
     def test_order_must_be_an_integer(self, n):
@@ -134,7 +159,7 @@ class TestUntrustedTree:
         "edge", [[False, True], [0], [0, 1, 2], (0, 1), "01", [0.0, 1], None]
     )
     def test_edges_must_be_integer_pairs(self, edge):
-        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        doc = path9_edges()
         assert doc["tree"]["edges"][0] == [0, 1]  # [False, True] would equal it
         doc["tree"]["edges"][0] = edge
         with pytest.raises(VerificationFailure, match="^malformed tree: "):
@@ -152,19 +177,18 @@ class TestUntrustedTree:
         ids=["duplicate", "loop", "out-of-range", "cycle"],
     )
     def test_edges_must_form_a_tree(self, edge, reason):
-        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        doc = path9_edges()
         assert doc["tree"]["edges"][:2] == [[0, 1], [1, 2]]
         doc["tree"]["edges"][0] = edge
         with pytest.raises(VerificationFailure) as failure:
             verify_document(doc)
         assert failure.value.reason == f"malformed tree: {reason}"
 
-    def test_a_burn_that_ends_does_not_prove_connectivity(self):
-        """A triangle and an isolated vertex: n - 1 loop-free edges, every
-        vertex burned in two rounds and every claim right, but no tree."""
+    @staticmethod
+    def split_document(tree: dict) -> dict:
         bounds = bound_table(4, 3)
-        doc = {
-            "tree": {"n": 4, "edges": [[1, 2], [1, 3], [2, 3]]},
+        return {
+            "tree": tree,
             "n": 4,
             "n2": 3,
             "m": bounds.m,
@@ -174,9 +198,23 @@ class TestUntrustedTree:
             "total_rounds": 2,
             "bound_table": bounds.as_dict(),
         }
+
+    def test_a_burn_that_ends_does_not_prove_connectivity(self):
+        """A triangle and an isolated vertex: n - 1 loop-free edges, every
+        vertex burned in two rounds and every claim right, but no tree."""
+        doc = self.split_document({"n": 4, "edges": [[1, 2], [1, 3], [2, 3]]})
         adj = [[], [2, 3], [1, 3], [1, 2]]
         _, labels, layers = engine._burn(adj, doc["sequence"], True)
         assert (labels, len(layers)) == ([2, 1, 2, 2], 2)
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == (
+            "malformed tree: graph with 4 vertices is not connected"
+        )
+
+    def test_a_burn_that_ends_does_not_prove_a_parent_array(self):
+        """The same triangle as parents: 1 -> 3 -> 2 -> 1, and 0 alone."""
+        doc = self.split_document({"n": 4, "parent": [-1, 3, 1, 2]})
         with pytest.raises(VerificationFailure) as failure:
             verify_document(doc)
         assert failure.value.reason == (
@@ -192,7 +230,7 @@ class TestUntrustedTree:
         ids=["range-then-type", "duplicate-then-loop"],
     )
     def test_the_fault_named_among_several(self, faults, reason):
-        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        doc = path9_edges()
         for i, edge in faults.items():
             doc["tree"]["edges"][i] = edge
         with pytest.raises(VerificationFailure) as failure:
@@ -201,11 +239,129 @@ class TestUntrustedTree:
 
     def test_one_vertex_verifies(self):
         doc = certificate(1, 0, lambda n, seed: gen_path(n))
-        assert doc["tree"] == {"n": 1, "edges": []}
-        summary = verify_document(doc)
-        assert summary == {
-            "ok": True, "n": 1, "n2": 0, "length": 1, "target": 1, "total_rounds": 1,
+        assert doc["tree"] == {"n": 1, "parent": [-1]}
+        assert edges_layout(doc)["tree"] == {"n": 1, "edges": []}
+        for layout in (doc, edges_layout(doc)):
+            summary = verify_document(layout)
+            assert summary == {
+                "ok": True, "n": 1, "n2": 0, "length": 1, "target": 1, "total_rounds": 1,
+            }
+
+
+PATH9_PARENT = [-1, 0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def parent_with(v: int, p) -> list:
+    parent = list(PATH9_PARENT)
+    parent[v] = p
+    return parent
+
+
+class TestParentTree:
+    """Every malformed parent array (schema 4) is a malformed tree, worded
+    as the edge list's faults are, and `treeburn verify` exits 1 on it."""
+
+    @pytest.mark.parametrize(
+        "tree, reason",
+        [
+            ({"n": 0, "parent": []}, "tree order 0 is below 1"),
+            ({"n": True, "parent": PATH9_PARENT}, "tree order True is not an integer"),
+            ({"n": 2.0, "parent": [-1, 0]}, "tree order 2.0 is not an integer"),
+            ({"n": 9, "parent": PATH9_PARENT + [7]}, "10 parent entries for 9 vertices"),
+            ({"n": 9, "parent": PATH9_PARENT[:-1]}, "8 parent entries for 9 vertices"),
+            ({"n": 9, "parent": dict(enumerate(PATH9_PARENT))}, "parent is a dict, not a list"),
+            ({"n": 9, "parent": parent_with(2, True)}, "parent True of vertex 2 is not an integer"),
+            ({"n": 9, "parent": parent_with(2, 1.0)}, "parent 1.0 of vertex 2 is not an integer"),
+            ({"n": 9, "parent": parent_with(2, "1")}, "parent '1' of vertex 2 is not an integer"),
+            ({"n": 9, "parent": parent_with(2, None)}, "parent None of vertex 2 is not an integer"),
+            ({"n": 9, "parent": parent_with(0, 0)}, "parent 0 of vertex 0 is not -1"),
+            ({"n": 9, "parent": parent_with(0, 1)}, "parent 1 of vertex 0 is not -1"),
+            ({"n": 9, "parent": parent_with(4, -1)}, "edge (4, -1) outside 0..8"),
+            ({"n": 9, "parent": parent_with(4, 9)}, "edge (4, 9) outside 0..8"),
+            ({"n": 9, "parent": parent_with(4, 4)}, "loop edge at vertex 4"),
+            ({"n": 9, "parent": parent_with(3, 4)}, "edge (3, 4) given twice"),
+            (
+                {"n": 9, "parent": PATH9_PARENT, "edges": [[v, v + 1] for v in range(8)]},
+                "tree holds both edges and parent",
+            ),
+        ],
+        ids=[
+            "order-0", "order-bool", "order-float", "long", "short", "not-a-list",
+            "entry-bool", "entry-float", "entry-str", "entry-null", "root-0",
+            "root-1", "minus-1", "n", "loop", "duplicate", "both-layouts",
+        ],
+    )
+    def test_malformed_parent_arrays_fail(self, tmp_path, tree, reason):
+        doc = certificate(9, 0, lambda n, seed: gen_path(n))
+        assert doc["tree"] == {"n": 9, "parent": PATH9_PARENT}
+        doc["tree"] = tree
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == f"malformed tree: {reason}"
+        assert_same_outcome(doc)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", str(cert)]) == 1
+        assert json.loads(out.getvalue()) == {
+            "ok": False, "reason": f"malformed tree: {reason}",
         }
+
+    @pytest.mark.parametrize(
+        "tree",
+        [gen_path(9), gen_random_tree(40, 3), gen_full_binary(4), gen_double_star(3, 5)],
+        ids=["path", "random", "binary", "double-star"],
+    )
+    def test_parent_is_the_neighbor_towards_vertex_0(self, tree):
+        parent = document_from_certificate(construct_general(tree))["tree"]["parent"]
+        dist = bfs_distances(tree, 0)
+        assert parent[0] == -1
+        for v in range(1, tree.n):
+            assert parent[v] in tree.neighbors(v) and dist[parent[v]] == dist[v] - 1
+
+
+SCHEMA3_CERT = Path(__file__).with_name("cert_schema3.json")
+
+# sha256 of dump_document's text for each tree, pinning the schema-4 layout
+SCHEMA4_SHA256 = {
+    "path": "04ff03e70e9b9f77732308f8aabdce9103e286aa71e821b811ae0b6324804b04",
+    "random": "3767d0a5f7edda15f3195571c601f8f07e439b3d5ee4b8675628d749c19987f4",
+    "binary": "103c3ddc89bf03e70474d6a673ef89676525bca0d6d60855c2ff9e8c9ccd687a",
+    "double-star": "703d28a288d8e2b93e13829a00e90a21eb71991f409bdc4111efb39edca08244",
+}
+
+
+class TestLayouts:
+    def test_committed_schema3_certificate_verifies(self):
+        doc = json.loads(SCHEMA3_CERT.read_text(encoding="utf-8"))
+        assert doc["schema_version"] == "3" and "edges" in doc["tree"]
+        assert verify_document(doc) == reference_verify_document(doc)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", str(SCHEMA3_CERT)]) == 0
+        assert json.loads(out.getvalue())["ok"] is True
+
+    def test_edges_layout_is_the_schema3_certificate(self):
+        """edges_layout turns this release's certificate of the committed
+        tree into the committed one, tool version aside."""
+        committed = json.loads(SCHEMA3_CERT.read_text(encoding="utf-8"))
+        converted = edges_layout(certificate(40, 3))
+        del committed["tool_version"], converted["tool_version"]
+        assert converted == committed
+
+    @pytest.mark.parametrize(
+        "name, tree",
+        [
+            ("path", gen_path(9)),
+            ("random", gen_random_tree(40, 3)),
+            ("binary", gen_full_binary(4)),
+            ("double-star", gen_double_star(3, 5)),
+        ],
+    )
+    def test_schema4_bytes(self, name, tree):
+        text = dump_document(document_from_certificate(construct_general(tree)))
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA4_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +371,12 @@ class TestUntrustedTree:
 # 1 on them.
 # ---------------------------------------------------------------------------
 
-BASES = (
+PARENT_BASES = (
     certificate(12, 4),
     certificate(9, 0, lambda n, seed: gen_path(n)),
     certificate(8, 5, gen_random_no_deg2),
 )
+BASES = PARENT_BASES + tuple(map(edges_layout, PARENT_BASES))
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -316,7 +473,8 @@ def test_cli_verify_exits_1_on_mutated_documents(fuzz_dir, doc):
     assert json.loads(out.getvalue())["ok"] is accepted
 
 
-EDGE_BASES = BASES + (certificate(60, 2), certificate(40, 6, gen_random_no_deg2))
+TREE_BASES = PARENT_BASES + (certificate(60, 2), certificate(40, 6, gen_random_no_deg2))
+EDGE_BASES = tuple(map(edges_layout, TREE_BASES))
 
 
 @st.composite
@@ -347,15 +505,34 @@ def test_edge_mutations_match_the_reference(doc):
     assert_same_outcome(doc)
 
 
+@st.composite
+def parent_mutated_documents(draw):
+    """One to three parent entries moved to any value from -1 to n: a root
+    moved, an entry out of range, a loop, a 2-cycle or a longer cycle."""
+    doc = copy.deepcopy(draw(st.sampled_from(TREE_BASES)))
+    parent = doc["tree"]["parent"]
+    n = len(parent)
+    for _ in range(draw(st.integers(1, 3))):
+        parent[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(parent_mutated_documents())
+def test_parent_mutations_match_the_reference(doc):
+    assert_same_outcome(doc)
+
+
 def test_seeded_valid_certificates_match_the_reference():
     rng = SplitMix64(2024)
     generators = (gen_random_tree, gen_random_no_deg2, lambda n, seed: gen_path(n))
     for i in range(200):
         n = 1 + rng.below(400)
         doc = certificate(n, i, generators[i % 3])
-        summary = verify_document(doc)
-        assert summary["ok"] is True
-        assert summary == reference_verify_document(doc)
+        for layout in (doc, edges_layout(doc)):
+            summary = verify_document(layout)
+            assert summary["ok"] is True
+            assert summary == reference_verify_document(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +544,12 @@ CHECKED_KEYS = {
     "tree", "n", "n2", "m", "target", "sequence", "labels", "total_rounds",
     "bound_table",
 }
-BOOL_BASES = BASES + (
+BOOL_PARENT_BASES = PARENT_BASES + (
     certificate(30, 1, gen_random_no_deg2),
     certificate(1, 0, lambda n, seed: gen_path(n)),
 )
+# the edges layout first, so each base keeps its index in the test ids
+BOOL_BASES = tuple(map(edges_layout, BOOL_PARENT_BASES)) + BOOL_PARENT_BASES
 
 
 def value_at(doc, path):

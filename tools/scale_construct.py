@@ -23,7 +23,9 @@ sequence (json.dumps of the source list) and of its certificate as written
 (the bytes dump_document returns), so two records show whether the
 sequences and the certificates stayed byte-identical, and a trace or format
 change stays distinguishable from a sequence change.  A layout change alone (such as the one-line dump) changes
-every cert_sha256 and no sequence_sha256.
+every cert_sha256 and no sequence_sha256.  Each row also holds
+cert_bytes_per_vertex, the length of that text over n to 2 decimals;
+records made before it was added have none.
 
     python tools/scale_construct.py --label after
     python tools/scale_construct.py --src ../other-checkout/src --label before
@@ -112,6 +114,7 @@ def measure(treeburn, certs, cli, tree) -> dict:
         **row,
         "levels": levels,
         "length": len(cert.sequence),
+        "cert_bytes_per_vertex": round(len(text) / tree.n, 2),
         "sequence_sha256": hashlib.sha256(
             json.dumps(list(cert.sequence.sources)).encode()
         ).hexdigest(),
