@@ -60,12 +60,12 @@ class VerificationFailure(Exception):
 
 
 def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
-    """The embedded tree's neighbor lists, unsorted.  The tree is a parent
-    array (schema 4, _parent_tree) or, in schemas 1-3, a list of n - 1
-    edges.  After the type checks, graphs._tree_lists, the one tree check
-    cli.parse_edge_list also runs, proves the n - 1 edges a tree by one
-    loop and one BFS.  On a fault, build_graph and as_tree raise, so a
-    reason names the first fault they meet."""
+    """The embedded tree's neighbor lists, unsorted.  After the type checks,
+    graphs._tree_lists, the one tree check cli.parse_edge_list also runs,
+    proves the n - 1 edges a tree by one loop and one BFS: a schema 1-3
+    edge list, or the edges (v, parent[v]) of a schema-4 parent array.  On
+    a fault, build_graph and as_tree raise, so a reason names the first
+    fault they meet."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     if "parent" in tree_obj:
@@ -86,19 +86,16 @@ def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
     return as_tree(build_graph(n, edges)).adjacency
 
 
-def _parent_tree(n: int, tree_obj: dict) -> Sequence[Sequence[int]]:
-    """The neighbor lists of the edges (v, parent[v]) for v in 1..n-1, where
-    parent[0] is -1; the same proof and the same fault words as the edge
-    list's."""
+def _parent_tree(n, tree_obj: dict) -> Sequence[Sequence[int]]:
+    """_tree_from_doc for a parent array: parent[0] is -1 and parent[v] is
+    v's neighbor towards vertex 0."""
     if "edges" in tree_obj:
         raise ValueError("tree holds both edges and parent")
     parent = tree_obj["parent"]
     # Checked before anything is allocated in proportion to n, and before
     # parent[0] is read.
-    if type(n) is not int:
-        raise TypeError(f"tree order {n!r} is not an integer")
-    if n < 1:
-        raise ValueError(f"tree order {n} is below 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"tree order {n!r} is not a positive integer")
     if type(parent) is not list:
         raise TypeError(f"parent is a {type(parent).__name__}, not a list")
     if len(parent) != n:

@@ -39,10 +39,8 @@ def _parent_tree(n, tree_obj: dict) -> Tree:
     if "edges" in tree_obj:
         raise ValueError("tree holds both edges and parent")
     parent = tree_obj["parent"]
-    if type(n) is not int:
-        raise TypeError(f"tree order {n!r} is not an integer")
-    if n < 1:
-        raise ValueError(f"tree order {n} is below 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"tree order {n!r} is not a positive integer")
     if type(parent) is not list:
         raise TypeError(f"parent is a {type(parent).__name__}, not a list")
     if len(parent) != n:

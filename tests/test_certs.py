@@ -249,6 +249,12 @@ class TestUntrustedTree:
 
 
 PATH9_PARENT = [-1, 0, 1, 2, 3, 4, 5, 6, 7]
+LAYOUT_TREES = {
+    "path": gen_path(9),
+    "random": gen_random_tree(40, 3),
+    "binary": gen_full_binary(4),
+    "double-star": gen_double_star(3, 5),
+}
 
 
 def parent_with(v: int, p) -> list:
@@ -264,9 +270,9 @@ class TestParentTree:
     @pytest.mark.parametrize(
         "tree, reason",
         [
-            ({"n": 0, "parent": []}, "tree order 0 is below 1"),
-            ({"n": True, "parent": PATH9_PARENT}, "tree order True is not an integer"),
-            ({"n": 2.0, "parent": [-1, 0]}, "tree order 2.0 is not an integer"),
+            ({"n": 0, "parent": []}, "tree order 0 is not a positive integer"),
+            ({"n": True, "parent": PATH9_PARENT}, "tree order True is not a positive integer"),
+            ({"n": 2.0, "parent": [-1, 0]}, "tree order 2.0 is not a positive integer"),
             ({"n": 9, "parent": PATH9_PARENT + [7]}, "10 parent entries for 9 vertices"),
             ({"n": 9, "parent": PATH9_PARENT[:-1]}, "8 parent entries for 9 vertices"),
             ({"n": 9, "parent": dict(enumerate(PATH9_PARENT))}, "parent is a dict, not a list"),
@@ -308,12 +314,9 @@ class TestParentTree:
             "ok": False, "reason": f"malformed tree: {reason}",
         }
 
-    @pytest.mark.parametrize(
-        "tree",
-        [gen_path(9), gen_random_tree(40, 3), gen_full_binary(4), gen_double_star(3, 5)],
-        ids=["path", "random", "binary", "double-star"],
-    )
-    def test_parent_is_the_neighbor_towards_vertex_0(self, tree):
+    @pytest.mark.parametrize("name", LAYOUT_TREES)
+    def test_parent_is_the_neighbor_towards_vertex_0(self, name):
+        tree = LAYOUT_TREES[name]
         parent = document_from_certificate(construct_general(tree))["tree"]["parent"]
         dist = bfs_distances(tree, 0)
         assert parent[0] == -1
@@ -323,7 +326,8 @@ class TestParentTree:
 
 SCHEMA3_CERT = Path(__file__).with_name("cert_schema3.json")
 
-# sha256 of dump_document's text for each tree, pinning the schema-4 layout
+# sha256 of dump_document's text for each of LAYOUT_TREES, pinning the
+# schema-4 layout
 SCHEMA4_SHA256 = {
     "path": "04ff03e70e9b9f77732308f8aabdce9103e286aa71e821b811ae0b6324804b04",
     "random": "3767d0a5f7edda15f3195571c601f8f07e439b3d5ee4b8675628d749c19987f4",
@@ -350,17 +354,9 @@ class TestLayouts:
         del committed["tool_version"], converted["tool_version"]
         assert converted == committed
 
-    @pytest.mark.parametrize(
-        "name, tree",
-        [
-            ("path", gen_path(9)),
-            ("random", gen_random_tree(40, 3)),
-            ("binary", gen_full_binary(4)),
-            ("double-star", gen_double_star(3, 5)),
-        ],
-    )
-    def test_schema4_bytes(self, name, tree):
-        text = dump_document(document_from_certificate(construct_general(tree)))
+    @pytest.mark.parametrize("name", LAYOUT_TREES)
+    def test_schema4_bytes(self, name):
+        text = dump_document(document_from_certificate(construct_general(LAYOUT_TREES[name])))
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA4_SHA256[name]
 
 
