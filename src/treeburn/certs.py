@@ -17,26 +17,35 @@ from .bounds import bound_table
 from .construct import BoundCertificate
 from .engine import BurningSequence, _burn
 from .errors import LengthMismatch
-from .graphs import _bfs_tree, _tree_lists, as_tree, build_graph
+from .graphs import _tree_lists, as_tree, build_graph
 
 SCHEMA_VERSION = "4"
+
+_KEYS: list[str] = []
+
+
+def _keys(n: int) -> list[str]:
+    """str(v) at index v, for at least n vertices: one list, grown
+    geometrically, whose strings every document and every check shares."""
+    if len(_KEYS) < n:
+        _KEYS.extend(map(str, range(len(_KEYS), max(n, 2 * len(_KEYS)))))
+    return _KEYS
 
 
 def document_from_certificate(
     cert: BoundCertificate, seed: Optional[int] = None
 ) -> dict:
-    # parent[v] is v's neighbor towards vertex 0, -1 at 0: one encoding per tree
-    parent = _bfs_tree(cert.tree.adjacency, 0)[1]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "tree": {"n": cert.tree.n, "parent": parent},
+        # parent[v] is v's neighbor towards vertex 0, -1 at 0: one encoding per tree
+        "tree": {"n": cert.tree.n, "parent": list(cert.tree.parent)},
         "n": cert.n,
         "n2": cert.n2,
         "m": cert.m,
         "target": cert.target,
         "sequence": list(cert.sequence.sources),
-        "labels": {str(v): r for v, r in enumerate(cert.labeling.labels)},
+        "labels": dict(zip(_keys(cert.n), cert.labeling.labels)),
         "total_rounds": cert.labeling.total_rounds,
         "bound_table": bound_table(cert.n, cert.n2).as_dict(),
         "trace": list(cert.trace),
@@ -80,9 +89,9 @@ def _tree_from_doc(doc: dict) -> Sequence[Sequence[int]]:
         pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
         if not pair:
             raise TypeError(f"edge {e!r} is not a pair of integers")
-    adj = _tree_lists(n, edges)
-    if adj is not None:
-        return adj
+    proof = _tree_lists(n, edges)
+    if proof is not None:
+        return proof[0]
     return as_tree(build_graph(n, edges)).adjacency
 
 
@@ -105,9 +114,9 @@ def _parent_tree(n, tree_obj: dict) -> Sequence[Sequence[int]]:
         raise TypeError(f"parent {parent[v]!r} of vertex {v} is not an integer")
     if parent[0] != -1:
         raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
-    adj = _tree_lists(n, zip(range(1, n), parent[1:]))
-    if adj is not None:
-        return adj
+    proof = _tree_lists(n, zip(range(1, n), parent[1:]))
+    if proof is not None:
+        return proof[0]
     return as_tree(build_graph(n, list(zip(range(1, n), parent[1:])))).adjacency
 
 
@@ -157,13 +166,16 @@ def verify_document(doc: dict) -> dict:
     except ValueError as exc:
         raise VerificationFailure(f"invalid sequence: {exc}") from exc
     stored = doc.get("labels")
-    recomputed = {str(v): r for v, r in enumerate(labels)}
-    # Only the first source burns in round 1, so once the dicts are equal a
+    keys = _keys(n)
+    # n entries, one at each key str(v), hold exactly the keys 0..n-1.  Only
+    # the first source burns in round 1, so once the values are equal a
     # bool (True == 1) can sit nowhere else; one float (2.0 == 2) anywhere
     # makes the sum a float.
     if (
-        stored != recomputed
-        or type(stored[str(seq.sources[0])]) is not int
+        type(stored) is not dict
+        or len(stored) != n
+        or list(map(stored.get, keys[:n])) != labels
+        or type(stored[keys[seq.sources[0]]]) is not int
         or type(sum(stored.values())) is not int
     ):
         raise VerificationFailure("labels mismatch")

@@ -102,18 +102,21 @@ def parse_edge_list(text: str, name: str = "<input>") -> Graph:
             pass
     if numbers is None:
         n, edges = _read_lines(text, name)
+        count = len(edges)
     else:
         tokens = iter(numbers)
-        n = next(tokens)
-        edges = list(zip(tokens, tokens))
+        n, count = next(tokens), len(numbers) // 2
+        edges = zip(tokens, tokens)  # pairs on demand: a tree needs no edge list
     # Checked before anything is allocated in proportion to n.  A connected
     # graph has at least n - 1 edges.
     if n < 0:
         raise ParseError(f"{name}: vertex count {n} is negative")
-    if n > len(edges) + 1:
-        raise ParseError(f"{name}: {len(edges)} edges cannot connect {n} vertices")
-    if len(edges) == n - 1 and (tree := _tree(n, edges)) is not None:
+    if n > count + 1:
+        raise ParseError(f"{name}: {count} edges cannot connect {n} vertices")
+    if count == n - 1 and (tree := _tree(n, edges)) is not None:
         return tree
+    if numbers is not None:  # _tree may have read some of the pairs
+        edges = list(zip(numbers[1::2], numbers[2::2]))
     try:
         return build_graph(n, edges)
     except ValueError as exc:

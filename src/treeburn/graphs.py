@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -44,7 +45,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def is_connected(self) -> bool:
         n = self.n
@@ -62,6 +63,13 @@ class Tree(Graph):
 
     def is_connected(self) -> bool:
         return self.n > 0
+
+    @cached_property
+    def parent(self) -> tuple[int, ...]:
+        """Each vertex's neighbor towards vertex 0, -1 at 0; in a tree it
+        does not depend on neighbor order.  _tree stores the one its proof
+        found; any other Tree runs one BFS, once."""
+        return tuple(_bfs_tree(self.adjacency, 0)[1])
 
     @property
     def graph(self) -> Graph:
@@ -95,37 +103,45 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def as_tree(g: Graph) -> Tree:
-    """Check connectivity and edge count; return g's adjacency as a Tree."""
+    """Check connectivity and edge count; return g itself when it is a Tree
+    (keeping its parent array), else g's adjacency as a Tree."""
     if not g.is_connected():
         raise NotConnected(f"graph with {g.n} vertices is not connected")
-    if g.edge_count() != g.n - 1:
-        raise NotAcyclic(f"{g.edge_count()} edges on {g.n} vertices")
-    return Tree(g.adjacency)
+    if (edges := g.edge_count()) != g.n - 1:
+        raise NotAcyclic(f"{edges} edges on {g.n} vertices")
+    return g if isinstance(g, Tree) else Tree(g.adjacency)
 
 
-def _tree_lists(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]] | None:
+def _tree_lists(
+    n: int, edges: Iterable[Sequence[int]]
+) -> tuple[list[list[int]], list[int]] | None:
     """Unsorted neighbor lists of the n - 1 given edges on n >= 1 vertices
-    when they form a tree, else None.  n - 1 in-range edges that reach every
-    vertex from 0 form a tree, so they hold no loop and no duplicate: one
-    loop and one BFS check it, with no edge-key set and no sort.  The
-    caller checks the edge count and words a fault (build_graph, as_tree)."""
+    and the parent array of their BFS from 0, when they form a tree, else
+    None.  n - 1 in-range edges that reach every vertex from 0 form a tree,
+    so they hold no loop and no duplicate: one loop and one BFS check it,
+    with no edge-key set and no sort.  The caller checks the edge count and
+    words a fault (build_graph, as_tree)."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             return None
         adj[u].append(v)
         adj[v].append(u)
-    return adj if len(_bfs_tree(adj, 0)[0]) == n else None
+    order, parent = _bfs_tree(adj, 0)
+    return (adj, parent) if len(order) == n else None
 
 
 def _tree(n: int, edges: Iterable[Sequence[int]]) -> Tree | None:
-    """A Tree with sorted neighbor tuples when _tree_lists proves the n - 1
-    given edges on n >= 1 vertices a tree, else None."""
-    adj = _tree_lists(n, edges)
-    if adj is None:
+    """A Tree with sorted neighbor tuples, holding the parent array of its
+    proof, when _tree_lists proves the n - 1 given edges on n >= 1 vertices
+    a tree, else None."""
+    proof = _tree_lists(n, edges)
+    if proof is None:
         return None
-    list(map(list.sort, adj))
-    return Tree(tuple(map(tuple, adj)))
+    list(map(list.sort, proof[0]))
+    t = Tree(tuple(map(tuple, proof[0])))
+    t.__dict__["parent"] = tuple(proof[1])  # Tree.parent's cache
+    return t
 
 
 def _require_vertices(g: Graph, *vs: int) -> None:

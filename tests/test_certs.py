@@ -11,14 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeburn import (
+    as_tree,
     bfs_distances,
+    certs,
+    cli,
+    construct,
     construct_general,
     engine,
+    exact,
     gen_double_star,
     gen_full_binary,
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
+    graphs,
 )
 from treeburn.bounds import bound_table
 from treeburn.certs import (
@@ -27,7 +33,8 @@ from treeburn.certs import (
     dump_document,
     verify_document,
 )
-from treeburn.cli import main
+from treeburn.cli import format_edge_list, main, parse_edge_list
+from treeburn.graphs import _bfs_tree
 from treeburn.rng import SplitMix64
 
 from .reference_verify import reference_verify_document
@@ -129,6 +136,84 @@ class TestCompactDump:
         with pytest.raises(VerificationFailure) as failure:
             verify_document(json.loads(dump_document(doc)))
         assert failure.value.reason == "labels mismatch"
+
+
+def labels_edited(edit: str) -> dict:
+    """certificate(40, 3) with its labels edited one way."""
+    doc = certificate(40, 3)
+    labels, source = doc["labels"], str(doc["sequence"][0])
+    assert labels[source] == 1 and labels["1"] != 1
+    if edit == "list":
+        doc["labels"] = list(labels.values())
+    elif edit == "null":
+        doc["labels"] = None
+    elif edit == "missing":
+        del labels["39"]
+    elif edit == "extra":
+        labels["40"] = 1
+    elif edit == "leading-zero":
+        labels["01"] = labels.pop("1")
+    elif edit == "float":
+        labels["1"] = float(labels["1"])
+    elif edit == "true-at-source":
+        labels[source] = True
+    return doc
+
+
+class TestLabels:
+    """verify_document looks each stored label up by its key str(v), from
+    one shared list of keys, instead of building a dict to compare."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["list", "null", "missing", "extra", "leading-zero", "float", "true-at-source"],
+    )
+    def test_edited_labels_mismatch(self, edit):
+        doc = labels_edited(edit)
+        with pytest.raises(VerificationFailure) as failure:
+            verify_document(doc)
+        assert failure.value.reason == "labels mismatch"
+        assert_same_outcome(doc)
+
+    @pytest.mark.parametrize(
+        "orders, lengths",
+        [((10, 3000, 10), (10, 3000, 3000)), ((3000, 10, 4000), (3000, 3000, 6000))],
+        ids=["small-first", "large-first"],
+    )
+    def test_keys_grow_with_the_order(self, monkeypatch, orders, lengths):
+        """The key list grows to n, or to twice its length when n is less."""
+        monkeypatch.setattr(certs, "_KEYS", [])
+        for n, length in zip(orders, lengths):
+            cert = construct_general(gen_random_tree(n, 1))
+            doc = document_from_certificate(cert)
+            assert doc["labels"] == {str(v): r for v, r in enumerate(cert.labeling.labels)}
+            assert certs._KEYS == list(map(str, range(length)))
+            loaded = json.loads(dump_document(doc))
+            assert verify_document(loaded) == reference_verify_document(loaded)
+            loaded["labels"][str(n - 1)] += 1
+            with pytest.raises(VerificationFailure, match="^labels mismatch$"):
+                verify_document(loaded)
+
+
+@pytest.mark.parametrize("layout", [str, lambda text: "# a comment\n" + text])
+def test_the_input_tree_is_rooted_once(monkeypatch, layout):
+    """From the edge list to the document, one BFS runs over the input
+    tree: the parse's tree proof, whose parent array the document writes."""
+    tree = gen_random_tree(1600, 5)
+    text = layout(format_edge_list(tree))
+    orders = []
+
+    def counted(adjacency, root):
+        orders.append(len(adjacency))
+        return _bfs_tree(adjacency, root)
+
+    for module in (graphs, construct, certs, cli, engine, exact):
+        if hasattr(module, "_bfs_tree"):
+            monkeypatch.setattr(module, "_bfs_tree", counted)
+    doc = document_from_certificate(construct_general(as_tree(parse_edge_list(text))))
+    assert orders.count(tree.n) == 1
+    assert len(orders) > 1  # construct's own passes, over the grafted tree
+    assert doc["tree"]["parent"] == _bfs_tree(tree.adjacency, 0)[1]
 
 
 class TestUntrustedTree:

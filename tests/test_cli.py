@@ -10,6 +10,7 @@ import pytest
 from treeburn import cli, exact
 from treeburn.cli import main, parse_edge_list, format_edge_list, ParseError
 from treeburn import Graph, Tree, as_tree, build_graph, gen_cycle, gen_path, gen_random_tree
+from treeburn.graphs import _bfs_tree
 from treeburn.rng import SplitMix64
 
 from .reference_parse import reference_parse_edge_list
@@ -132,6 +133,7 @@ def assert_same_parse(text):
         assert type(got) is Graph, text[:40]
     else:
         assert type(got) is Tree, text[:40]
+        assert list(got.parent) == _bfs_tree(got.adjacency, 0)[1], text[:40]
 
 
 class TestAgainstReferenceParser:

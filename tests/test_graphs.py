@@ -120,6 +120,32 @@ class TestAsTree:
         assert t == Tree(t.adjacency)
 
 
+class TestParent:
+    """Tree.parent is each vertex's neighbor towards vertex 0, -1 at 0: on
+    a Tree from _tree it is the proof's array, on any other one BFS."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees(max_n=30))
+    def test_derived_trees_root_at_vertex_0(self, t):
+        derived = [as_tree(t.graph), augment_degree2(t)[0]]
+        derived += [smooth(t, w)[0] for w in range(t.n) if t.degree(w) >= 2]
+        for d in derived:
+            assert list(d.parent) == _bfs_tree(d.adjacency, 0)[1]
+
+    def test_as_tree_keeps_a_tree(self):
+        t = gen_random_tree(50, 1)
+        parent = t.parent
+        assert as_tree(t) is t and as_tree(t).parent is parent
+        g = as_tree(t.graph)
+        assert type(g) is Tree and g == t and g is not t
+
+    def test_a_hand_built_cyclic_tree_is_refused(self):
+        with pytest.raises(NotAcyclic):
+            as_tree(Tree(gen_cycle(4).adjacency))
+        with pytest.raises(NotConnected):
+            as_tree(Tree(()))
+
+
 class TestBfsTree:
     def test_small_tree_rooted_inside(self):
         t = as_tree(build_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]))
@@ -248,6 +274,7 @@ class TestGenerators:
         for t in outputs:
             assert type(t) is Tree
             assert t == as_tree(build_graph(t.n, t.edges()))
+            assert list(t.parent) == _bfs_tree(t.adjacency, 0)[1]
 
     def test_random_tree_of_order_two_is_the_path(self):
         for seed in range(10):

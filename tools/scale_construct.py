@@ -17,8 +17,10 @@ Records made before the scaling have no "nominal_ms" key and hold raw
 times.  The scaling exponent of each
 phase is fitted from the last two orders' medians,
 log(t2 / t1) / log(n2 / n1).  The record also holds the git revision of the
-checkout that was timed ("-dirty" when its tracked files differ from that
-commit), the Python version, each tree's level count, the sha256 of its
+checkout that was timed ("-dirty" when a tracked file other than
+BENCH_construct.json differs from that commit; earlier records counted that
+file too, so an `after` record timed just after a `before` one in the same
+checkout read "-dirty"), the Python version, each tree's level count, the sha256 of its
 sequence (json.dumps of the source list) and of its certificate as written
 (the bytes dump_document returns), so two records show whether the
 sequences and the certificates stayed byte-identical, and a trace or format
@@ -63,12 +65,21 @@ RUNS = 3
 
 
 def revision(src: Path) -> str:
-    try:
+    """The commit of src's checkout, "-dirty" when a tracked file other
+    than BENCH_construct.json differs from it: a `before` record rewrites
+    that file, so an `after` timed next in the same checkout stays clean."""
+    def git(*args: str) -> str:
         out = subprocess.run(
-            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=7"],
-            capture_output=True, text=True, check=True,
+            ["git", "-C", str(src), *args], capture_output=True, text=True, check=True
         )
         return out.stdout.strip()
+
+    try:
+        changed = git(
+            "status", "--porcelain", "--untracked-files=no",
+            "--", ":(top)", f":(top,exclude){OUT.name}",
+        )
+        return git("describe", "--always", "--abbrev=7") + ("-dirty" if changed else "")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
