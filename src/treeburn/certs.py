@@ -2,14 +2,19 @@
 
 A certificate embeds the tree (as a parent array rooted at vertex 0 since
 schema 4, as an edge list before), the burning sequence, the claimed labeling,
-and the bound values.  verify_document() recomputes everything from the
-embedded tree and sequence alone, so a certificate stands or falls on pure
-simulation regardless of who produced it.
+and the bound values.  verify_document() derives everything from the
+embedded tree and sequence alone, so a certificate stands or falls
+regardless of who produced it: a parent array is accepted when its claimed
+labels provably equal the process's, and otherwise it and an edge list are
+re-simulated.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import compress
+from operator import gt, itemgetter, lt, sub
 from typing import Optional, Sequence
 
 from . import __version__
@@ -120,23 +125,121 @@ def _parent_tree(n, tree_obj: dict) -> Sequence[Sequence[int]]:
     return as_tree(build_graph(n, list(zip(range(1, n), parent[1:])))).adjacency
 
 
-def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
+def _claimed(doc: dict, key: str, value: int) -> bool:
     claimed = doc.get(key)
-    if type(claimed) is not int or claimed != value:
+    return type(claimed) is int and claimed == value
+
+
+def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
+    if not _claimed(doc, key, value):
         raise VerificationFailure(f"{what} mismatch")
+
+
+def _table_matches(doc: dict, expected: dict) -> bool:
+    table = doc.get("bound_table")
+    return table == expected and all(
+        type(table[k]) is type(v) for k, v in expected.items()
+    )
+
+
+def _proved_by_labels(doc) -> Optional[dict]:
+    """The summary of a parent-array certificate that its claimed labels
+    prove valid, else None.  Every check is a C-level pass over the arrays,
+    and nothing is rebuilt: no neighbor lists, no burn.  It reads every
+    claim verify_document's checked route reads, with the same type checks,
+    and leaves every refusal to that route.
+
+    Tree: with P(0) := 0, the parent array is a tree rooted at 0 iff
+    P^(2^r) maps every vertex to 0 for 2^r >= n, by pointer doubling.
+    Labels: claimed labels C are the process labels L(x) = min_i (i +
+    d(x, s_i)) iff C(s_i) = i, |C(x) - C(parent[x])| <= 1 on every edge,
+    and every vertex but a source has a neighbor labelled C - 1 (C <= L by
+    the first two; following neighbors labelled one less from x ends at
+    some s_i after C(x) - i steps, so C >= L).  The sequence is then valid
+    iff max C = k: each s_i burns in round i, so it was unburned at the
+    start of that round, and the last vertex burns in round k.
+    """
+    tree = doc.get("tree") if type(doc) is dict else None
+    if type(tree) is not dict or "edges" in tree:
+        return None
+    n, parent = tree.get("n"), tree.get("parent")
+    # itemgetter of one index returns the item, not a tuple
+    if type(n) is not int or n < 3 or type(parent) is not list or len(parent) != n:
+        return None
+    stored, seq = doc.get("labels"), doc.get("sequence")
+    if type(stored) is not dict or len(stored) != n or type(seq) is not list or not seq:
+        return None
+    up = parent[1:]
+    labels = list(map(stored.get, _keys(n)[:n]))
+    if (
+        parent[0] != -1
+        or set(map(type, parent)) != {int}
+        or set(map(type, labels)) != {int}
+        or set(map(type, seq)) != {int}
+        or min(seq) < 0
+        or max(seq) >= n
+    ):
+        return None
+    children = Counter(up)
+    if min(children) < 0 or max(children) >= n:
+        return None
+    anc = [0, *up]
+    for _ in range(n.bit_length()):
+        if not any(anc):
+            break
+        anc = itemgetter(*anc)(anc)
+    else:
+        if any(anc):
+            return None  # a cycle that avoids vertex 0
+    k = len(seq)
+    below, above = labels[1:], itemgetter(*up)(labels)  # each edge's two ends
+    if (
+        list(map(labels.__getitem__, seq)) != list(range(1, k + 1))
+        or max(labels) != k
+        or not set(map(sub, below, above)) <= {-1, 0, 1}
+    ):
+        return None
+    down = set(seq)  # the vertices with a neighbor labelled one less
+    down.update(compress(range(1, n), map(gt, below, above)))
+    down.update(compress(up, map(lt, below, above)))
+    if len(down) != n:
+        return None
+    n2 = Counter(children.values())[1] - (children[0] == 1) + (children[0] == 2)
+    bounds = bound_table(n, n2)
+    target = bounds.refined
+    claims = (("n", n), ("n2", n2), ("m", bounds.m), ("target", target), ("total_rounds", k))
+    if k > target or not all(_claimed(doc, *claim) for claim in claims):
+        return None
+    if not _table_matches(doc, bounds.as_dict()):
+        return None
+    return _summary(n, n2, k, target)
+
+
+def _summary(n: int, n2: int, length: int, target: int) -> dict:
+    """A valid certificate's summary: its process ends in its last
+    source's round."""
+    return {
+        "ok": True, "n": n, "n2": n2, "length": length, "target": target,
+        "total_rounds": length,
+    }
 
 
 def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence.
 
-    The tree is checked on plain neighbor lists by one BFS, and the
-    sequence is burned, strictly, on those lists (_tree_from_doc); no Tree
-    is built for a valid certificate.
+    A parent array whose claimed labels prove it valid is accepted by
+    _proved_by_labels.  Every other document takes the checked route, the
+    only one that words a refusal: the tree is checked on plain neighbor
+    lists by one BFS, and the sequence is burned, strictly, on those lists
+    (_tree_from_doc); no Tree is built for a valid certificate.
     Returns a summary dict on success; raises VerificationFailure with a
     machine-readable reason otherwise.  Stored labels and bound values are
     treated as claims to check, never as inputs, and a bool never passes
     for an integer claim.
     """
+    summary = _proved_by_labels(doc)
+    if summary is not None:
+        return summary
     try:
         adj = _tree_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
@@ -180,17 +283,6 @@ def verify_document(doc: dict) -> dict:
     ):
         raise VerificationFailure("labels mismatch")
     _check_claim(doc, "total_rounds", total_rounds, "round count")
-    expected = bounds.as_dict()
-    table = doc.get("bound_table")
-    if table != expected or any(
-        type(table[k]) is not type(v) for k, v in expected.items()
-    ):
+    if not _table_matches(doc, bounds.as_dict()):
         raise VerificationFailure("bound table mismatch")
-    return {
-        "ok": True,
-        "n": n,
-        "n2": n2,
-        "length": len(seq),
-        "target": target,
-        "total_rounds": total_rounds,
-    }
+    return _summary(n, n2, len(seq), target)

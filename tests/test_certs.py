@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from treeburn.graphs import _bfs_tree
 from treeburn.rng import SplitMix64
 
 from .reference_verify import reference_verify_document
+from .strategies import random_valid_schedule, trees
 
 
 def json_depth(value) -> int:
@@ -526,8 +528,21 @@ def outcome(verify, doc):
         return failure.reason
 
 
+def checked_outcome(doc):
+    """verify_document's outcome with the bulk check turned off."""
+    with mock.patch.object(certs, "_proved_by_labels", lambda doc: None):
+        return outcome(verify_document, doc)
+
+
 def assert_same_outcome(doc):
-    assert outcome(verify_document, doc) == outcome(reference_verify_document, doc)
+    """verify_document, its checked route alone and the reference give the
+    same reason or summary, and where the bulk check accepts, its summary
+    is theirs."""
+    expected = outcome(reference_verify_document, doc)
+    assert outcome(verify_document, doc) == expected
+    assert checked_outcome(doc) == expected
+    summary = certs._proved_by_labels(doc)
+    assert summary is None or summary == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -671,3 +686,208 @@ def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
     with contextlib.redirect_stdout(out):
         assert main(["verify", str(cert)]) == 1
     assert json.loads(out.getvalue())["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# The bulk check: a parent-array certificate is accepted from its claimed
+# labels, with no neighbor lists and no burn, and refused by the checked
+# route alone.  assert_same_outcome above compares the two on every fuzzed,
+# malformed and edited document.
+# ---------------------------------------------------------------------------
+
+SHAPES = {
+    "random": lambda n: gen_random_tree(n, n),
+    "no-deg2": lambda n: gen_random_no_deg2(n, n),
+    "path": gen_path,
+    "binary": lambda n: gen_full_binary(max(1, n.bit_length() - 2)),
+    "double-star": lambda n: gen_double_star(n // 3, n - n // 3 - 2),
+}
+
+
+def test_seeded_valid_certificates_are_accepted_in_bulk():
+    rng = SplitMix64(2025)
+    for i in range(150):
+        doc = certificate(3 + rng.below(400), i, lambda n, seed: gen_random_tree(n, seed))
+        summary = certs._proved_by_labels(doc)
+        assert summary is not None and summary["ok"] is True
+        assert summary == checked_outcome(doc) == reference_verify_document(doc)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [3, 4, 9, 100, 1600])
+def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
+    doc = json.loads(dump_document(document_from_certificate(
+        construct_general(SHAPES[shape](n))
+    )))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [
+        (certs, "_burn"), (engine, "_burn"), (certs, "_tree_lists"), (graphs, "_tree_lists"),
+        (certs, "build_graph"), (graphs, "build_graph"), (certs, "as_tree"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    summary = verify_document(doc)
+    assert calls == []
+    monkeypatch.setattr(certs, "_proved_by_labels", lambda doc: None)
+    assert verify_document(doc) == summary
+    assert "_burn" in calls and "_tree_lists" in calls
+
+
+def true_labels(tree, seq) -> list[int]:
+    """min over i of i + d(x, s_i): the process's labels when seq is valid."""
+    rows = [bfs_distances(tree, s) for s in seq]
+    return [min(i + row[x] for i, row in enumerate(rows, 1)) for x in range(tree.n)]
+
+
+def claimed_document(tree, seq, labels) -> dict:
+    """A certificate of tree with every claim right for seq, labels claimed."""
+    n2 = sum(1 for a in tree.adjacency if len(a) == 2)
+    bounds = bound_table(tree.n, n2)
+    return {
+        "schema_version": "4",
+        "tree": {"n": tree.n, "parent": list(tree.parent)},
+        "n": tree.n,
+        "n2": n2,
+        "m": bounds.m,
+        "target": bounds.refined,
+        "sequence": list(seq),
+        "labels": {str(v): r for v, r in enumerate(labels)},
+        "total_rounds": len(seq),
+        "bound_table": bounds.as_dict(),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trees(min_n=3, max_n=40),
+    st.sampled_from(["construct", "schedule", "random"]),
+    st.sampled_from(["true", "plus-one", "minus-one", "subtree"]),
+    st.randoms(use_true_random=False),
+)
+def test_bulk_accepts_exactly_the_true_labels_of_valid_sequences(tree, origin, edit, rnd):
+    n = tree.n
+    if origin == "construct":
+        seq = construct_general(tree).sequence.sources
+    elif origin == "schedule":
+        seq = engine.canonicalize(tree, random_valid_schedule(tree, rnd.randrange(2**32))).sources
+    else:
+        seq = [rnd.randrange(n) for _ in range(rnd.randint(1, 8))]
+    labels = true_labels(tree, seq)
+    v = rnd.randrange(n)
+    if edit == "plus-one":
+        labels[v] += 1
+    elif edit == "minus-one":
+        labels[v] -= 1
+    elif edit == "subtree":  # v and every vertex whose path to 0 passes v
+        for x in range(n):
+            y = x
+            while y not in (v, -1):
+                y = tree.parent[y]
+            labels[x] += y == v
+    doc = claimed_document(tree, seq, labels)
+    try:
+        labeling = engine.validate_sequence(tree, engine.BurningSequence(tuple(seq)))
+    except ValueError:
+        labeling = None
+    accepted = (
+        labeling is not None
+        and list(labeling.labels) == labels
+        and len(seq) <= doc["target"]
+    )
+    summary = certs._proved_by_labels(doc)
+    assert (summary is not None) == accepted
+    assert_same_outcome(doc)
+
+
+DEPTHS = sorted({d for j in range(1, 12) for d in (2**j - 1, 2**j, 2**j + 1)})
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_paths_rooted_at_an_end_are_accepted(depth):
+    """Pointer doubling needs ceil(log2(depth + 1)) rounds on a path of
+    this depth; these depths sit on either side of each power of two."""
+    doc = certificate(depth + 1, 0, lambda n, seed: gen_path(n))
+    assert doc["tree"]["parent"] == [-1, *range(depth)]
+    summary = certs._proved_by_labels(doc)
+    if depth >= 2:
+        assert summary is not None
+    assert verify_document(doc) == checked_outcome(doc) == reference_verify_document(doc)
+
+
+@pytest.mark.parametrize("rooted", ["at-center", "at-leaf"])
+def test_stars_are_accepted(rooted):
+    n = 50
+    edges = [(0, v) for v in range(1, n)] if rooted == "at-center" else [
+        (0, 1), *((1, v) for v in range(2, n))
+    ]
+    tree = as_tree(graphs.build_graph(n, edges))
+    doc = json.loads(dump_document(document_from_certificate(construct_general(tree))))
+    summary = certs._proved_by_labels(doc)
+    assert summary is not None
+    assert summary == checked_outcome(doc) == reference_verify_document(doc)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orders_below_3_take_the_checked_route(n):
+    """itemgetter of one index returns the item, not a tuple, so the bulk
+    check leaves these orders to the checked route, which accepts them."""
+    doc = certificate(n, 0, lambda n, seed: gen_path(n))
+    assert certs._proved_by_labels(doc) is None
+    assert verify_document(doc) == reference_verify_document(doc)
+    assert verify_document(doc)["ok"] is True
+
+
+BULK_BASES = {
+    "path": certificate(300, 0, lambda n, seed: gen_path(n)),
+    "random": certificate(300, 0),  # vertex 25's parent is 299
+}
+
+
+def cycle(parent, length):
+    """Make the last `length` vertices a cycle that avoids vertex 0: each
+    takes the next as its parent, and the last takes the first."""
+    vs = range(len(parent) - length, len(parent))
+    for v, w in zip(vs, [*vs[1:], vs[0]]):
+        parent[v] = w
+
+
+def set_parent(v, p):
+    return lambda parent: parent.__setitem__(v, p)
+
+
+@pytest.mark.parametrize("base", BULK_BASES)
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda p: cycle(p, 2), "edge (298, 299) given twice"),
+        (lambda p: cycle(p, 3), "graph with 300 vertices is not connected"),
+        (lambda p: cycle(p, 299), "graph with 300 vertices is not connected"),
+        (set_parent(250, 250), "loop edge at vertex 250"),
+        (set_parent(250, -1), "edge (250, -1) outside 0..299"),
+        # parent[-1] is parent[299]: on the random base, an index that
+        # wraps reads the true parent's entry
+        (set_parent(25, -1), "edge (25, -1) outside 0..299"),
+        (set_parent(250, 300), "edge (250, 300) outside 0..299"),
+        (set_parent(250, True), "parent True of vertex 250 is not an integer"),
+        (set_parent(250, 1.0), "parent 1.0 of vertex 250 is not an integer"),
+    ],
+    ids=[
+        "2-cycle", "3-cycle", "(n-1)-cycle", "self", "minus-1", "minus-1-wraps", "n",
+        "true", "float",
+    ],
+)
+def test_malformed_parents_far_from_0_keep_their_reasons(base, edit, reason):
+    doc = copy.deepcopy(BULK_BASES[base])
+    assert certs._proved_by_labels(doc) is not None
+    edit(doc["tree"]["parent"])
+    assert certs._proved_by_labels(doc) is None
+    with pytest.raises(VerificationFailure) as failure:
+        verify_document(doc)
+    assert failure.value.reason == f"malformed tree: {reason}"
+    assert_same_outcome(doc)

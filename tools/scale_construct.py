@@ -32,11 +32,20 @@ records made before it was added have none.
     python tools/scale_construct.py --label after
     python tools/scale_construct.py --src ../other-checkout/src --label before
     python tools/scale_construct.py --check
+    python tools/scale_construct.py --pair ../parent/src src --rounds 5
 
 --src picks the checkout whose treeburn is imported (default: this one's).
 --check reruns the sizes up to CHECK_MAX_N, compares each tree's
 sequence_sha256 and cert_sha256 with the last record, writes nothing, and
 exits 1 on a mismatch.
+--pair A B compares two src/ directories at PAIR_N without writing a
+record.  Each round times A, B, B, A, each in a fresh subprocess that
+measures both trees as a record row does (RUNS runs, raw median), and takes
+B/A as (B + B) / (A + A) per tree and phase; the order cancels a host speed
+that drifts linearly over the round, so the ratio needs no reference
+kernel.  It prints each ratio's median and quartiles over the rounds.  Two
+records made minutes apart cannot resolve a 20% change at PAIR_N, because
+the host's speed for the large phases moves more than the kernel's.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ HASHES = ("sequence_sha256", "cert_sha256")
 OUT = ROOT / "BENCH_construct.json"
 PHASES = ("parse_s", "construct_s", "dump_s", "verify_s")
 RUNS = 3
+PAIR_N = 102400
 
 
 def revision(src: Path) -> str:
@@ -165,13 +175,50 @@ def check(treeburn, certs, cli, trees) -> int:
     return int(failed)
 
 
+def sample(src: Path) -> dict:
+    """Each tree's raw median seconds per phase at PAIR_N, timed in a fresh
+    subprocess that imports treeburn from src."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--sample"],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def pair(a: Path, b: Path, rounds: int) -> int:
+    """Print B/A per tree and phase at PAIR_N over ABBA rounds."""
+    ratios: dict[str, dict[str, list[float]]] = {}
+    for r in range(rounds):
+        first_a, first_b, second_b, second_a = map(sample, (a, b, b, a))
+        for kind in first_a:
+            for phase in PHASES:
+                t = [s[kind][phase] for s in (first_a, second_a, first_b, second_b)]
+                ratio = (t[2] + t[3]) / (t[0] + t[1])
+                ratios.setdefault(kind, {}).setdefault(phase, []).append(ratio)
+        print(f"round {r + 1} of {rounds} done", file=sys.stderr, flush=True)
+    print(f"B/A at n = {PAIR_N}, {rounds} ABBA rounds: median [quartiles]")
+    print(f"A = {a}\nB = {b}")
+    for kind, phases in ratios.items():
+        for phase, values in phases.items():
+            q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            print(f"{kind:12} {phase:12} {q2:.3f} [{q1:.3f}, {q3:.3f}]")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--rounds", type=int, default=5, help="ABBA rounds of --pair")
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--label")
     group.add_argument("--check", action="store_true")
+    group.add_argument("--pair", nargs=2, type=Path, metavar=("A", "B"))
+    group.add_argument("--sample", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.pair:
+        if args.rounds < 2:
+            ap.error("--pair needs at least 2 rounds for quartiles")
+        return pair(*(src.resolve() for src in args.pair), args.rounds)
 
     sys.path.insert(0, str(args.src.resolve()))
     import treeburn
@@ -181,6 +228,13 @@ def main(argv=None) -> int:
              "path": treeburn.gen_path}
     if args.check:
         return check(treeburn, certs, cli, trees)
+    if args.sample:
+        rows = {kind: measure(treeburn, certs, cli, make(PAIR_N)) for kind, make in trees.items()}
+        print(json.dumps({
+            kind: {p: statistics.median(row[p.replace("_s", "_raw_runs_s")]) for p in PHASES}
+            for kind, row in rows.items()
+        }))
+        return 0
     results = {}
     for kind, make in trees.items():
         rows = []
