@@ -204,7 +204,7 @@ def _proved_by_labels(doc) -> Optional[dict]:
     down.update(compress(up, map(lt, below, above)))
     if len(down) != n:
         return None
-    n2 = Counter(children.values())[1] - (children[0] == 1) + (children[0] == 2)
+    n2 = list(children.values()).count(1) - (children[0] == 1) + (children[0] == 2)
     bounds = bound_table(n, n2)
     target = bounds.refined
     claims = (("n", n), ("n2", n2), ("m", bounds.m), ("target", target), ("total_rounds", k))

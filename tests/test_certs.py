@@ -706,8 +706,9 @@ SHAPES = {
 
 def test_seeded_valid_certificates_are_accepted_in_bulk():
     rng = SplitMix64(2025)
+    generators = (gen_random_tree, gen_random_no_deg2, lambda n, seed: gen_path(n))
     for i in range(150):
-        doc = certificate(3 + rng.below(400), i, lambda n, seed: gen_random_tree(n, seed))
+        doc = certificate(3 + rng.below(400), i, generators[i % 3])
         summary = certs._proved_by_labels(doc)
         assert summary is not None and summary["ok"] is True
         assert summary == checked_outcome(doc) == reference_verify_document(doc)
