@@ -189,12 +189,12 @@ def pair(a: Path, b: Path, rounds: int) -> int:
     """Print B/A per tree and phase at PAIR_N over ABBA rounds."""
     ratios: dict[str, dict[str, list[float]]] = {}
     for r in range(rounds):
-        first_a, first_b, second_b, second_a = map(sample, (a, b, b, a))
-        for kind in first_a:
+        a1, b1, b2, a2 = map(sample, (a, b, b, a))
+        for kind in a1:
             for phase in PHASES:
-                t = [s[kind][phase] for s in (first_a, second_a, first_b, second_b)]
-                ratio = (t[2] + t[3]) / (t[0] + t[1])
-                ratios.setdefault(kind, {}).setdefault(phase, []).append(ratio)
+                b_s = b1[kind][phase] + b2[kind][phase]
+                a_s = a1[kind][phase] + a2[kind][phase]
+                ratios.setdefault(kind, {}).setdefault(phase, []).append(b_s / a_s)
         print(f"round {r + 1} of {rounds} done", file=sys.stderr, flush=True)
     print(f"B/A at n = {PAIR_N}, {rounds} ABBA rounds: median [quartiles]")
     print(f"A = {a}\nB = {b}")
