@@ -696,11 +696,11 @@ def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
 # ---------------------------------------------------------------------------
 
 SHAPES = {
-    "random": lambda n: gen_random_tree(n, n),
-    "no-deg2": lambda n: gen_random_no_deg2(n, n),
-    "path": gen_path,
-    "binary": lambda n: gen_full_binary(max(1, n.bit_length() - 2)),
-    "double-star": lambda n: gen_double_star(n // 3, n - n // 3 - 2),
+    "random": gen_random_tree,
+    "no-deg2": gen_random_no_deg2,
+    "path": lambda n, seed: gen_path(n),
+    "binary": lambda n, seed: gen_full_binary(max(1, n.bit_length() - 2)),
+    "double-star": lambda n, seed: gen_double_star(n // 3, n - n // 3 - 2),
 }
 
 
@@ -717,9 +717,7 @@ def test_seeded_valid_certificates_are_accepted_in_bulk():
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("n", [3, 4, 9, 100, 1600])
 def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
-    doc = json.loads(dump_document(document_from_certificate(
-        construct_general(SHAPES[shape](n))
-    )))
+    doc = certificate(n, n, SHAPES[shape])
     calls = []
 
     def counted(name, fn):
@@ -821,14 +819,11 @@ def test_paths_rooted_at_an_end_are_accepted(depth):
     assert verify_document(doc) == checked_outcome(doc) == reference_verify_document(doc)
 
 
-@pytest.mark.parametrize("rooted", ["at-center", "at-leaf"])
-def test_stars_are_accepted(rooted):
-    n = 50
-    edges = [(0, v) for v in range(1, n)] if rooted == "at-center" else [
-        (0, 1), *((1, v) for v in range(2, n))
-    ]
-    tree = as_tree(graphs.build_graph(n, edges))
-    doc = json.loads(dump_document(document_from_certificate(construct_general(tree))))
+@pytest.mark.parametrize("leaves", [(48, 0), (0, 48)], ids=["at-the-center", "at-a-leaf"])
+def test_stars_are_accepted(leaves):
+    """gen_double_star(48, 0) is a star centred at vertex 0, and
+    gen_double_star(0, 48) one centred at vertex 1, a leaf's neighbor."""
+    doc = certificate(50, 0, lambda n, seed: gen_double_star(*leaves))
     summary = certs._proved_by_labels(doc)
     assert summary is not None
     assert summary == checked_outcome(doc) == reference_verify_document(doc)
