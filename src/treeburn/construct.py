@@ -6,21 +6,25 @@ designated heavy edge, burning the small branches by plain propagation from
 v, and descending into the one remaining branch after smoothing its root
 away.  Arbitrary trees are first made degree-2-free by grafting a leaf onto
 every degree-2 vertex, and the sequence found on the grafted tree is
-projected back.  The projection is a transport step: map the sources,
-burn greedily, fill the empty rounds canonically and check a length bound.
+projected back by relabelling, not burning (_project): each grafted-leaf
+source moves onto its attachment vertex, which lowers only the labels its
+fire now reaches a round sooner, and a round whose source burns sooner
+gets the lowest id burning in it.
 
-Every level lives in one mutable working tree in the grafted tree's ids:
+Every level lives in one mutable working tree in the grafted tree's ids,
+rooted from the Tree's own rooting (Tree.rooting, the parse's proof BFS
+extended by augment_degree2), not by a BFS of its own:
 going down, a level edits O(deg) adjacency entries and logs their former
 lists, and its separator walk resumes where the last level's stopped
 (_WorkingTree); going up, the log restores each level, and the level is
 relabelled, not burned: one label array serves every level, and a level
 changes only the labels of its new vertices and of those its separator's
 fire reaches sooner (_LevelLabels).  Only the innermost tree gets a burn
-of its own.  find_separator, smooth and lift_sequence are the per-level
-steps on a Tree of their own, kept as test oracles.
+of its own.  find_separator, smooth, lift_sequence and project_to_subtree
+are the steps on a Tree of their own, kept as test oracles.
 
-No sequence is replayed: the labeling is the projection's burn on the
-input tree, which the sequence drives exactly (engine._transport), and
+No sequence is replayed: the labeling is the projection's relabel of the
+grafted tree's labels, which the sequence drives exactly, and
 verify_document checks a certificate where it is read.  A violated length
 bound raises InternalBoundViolation, never a wrong answer.
 """
@@ -223,15 +227,22 @@ class _WorkingTree:
         if 2 in degrees:
             listing = [v for v, d in enumerate(degrees) if d == 2]
             raise PreconditionViolated(f"tree has degree-2 vertices: {listing}")
-        root = next((x for x in range(n) if degrees[x] == 1), 0)
-        order, parent = _bfs_tree(adj, root)
+        order, parent = t.rooting
         # a hand-built Tree with a cycle would send the walks below round it
         ends = sum(degrees)
         if len(order) != n or ends != 2 * (n - 1):
             raise NotAcyclic(f"{ends} edge ends on {n} vertices, {len(order)} reached")
+        parent = list(parent)
         size = [1] * n
-        for u in reversed(order[1:]):
+        for u in order[:0:-1]:  # rooted at vertex 0
             size[parent[u]] += size[u]
+        # re-root at the lowest-id leaf: only its path to vertex 0 changes,
+        # where a vertex's subtree becomes all but the last one's old subtree
+        root = next((x for x in range(n) if degrees[x] == 1), 0)
+        x, up, below = root, -1, 0
+        while x >= 0:
+            parent[x], x, up = up, parent[x], x
+            size[up], below = n - below, size[up]
         self.adj, self.root, self.parent, self.size = adj, root, parent, size
         self.path, self.base, self.early, self.drop = [root], [n], [], 0
 
@@ -552,6 +563,8 @@ def project_to_subtree(
     Sources the fire beat are dropped.  The result is never longer than
     seq; it is the canonical form of the greedy run, which it drives
     exactly, so the run's rounds are its labeling and it needs no replay.
+
+    A test oracle: construct_general projects by relabelling (_project).
     """
     proposals = [attach.get(y, y) for y in seq.sources]
     if not all(0 <= x < t.n for x in proposals):
@@ -560,20 +573,71 @@ def project_to_subtree(
     return projected, RoundLabeling(tuple(labels), len(projected))
 
 
+def _project(
+    adj: Sequence[Sequence[int]],
+    attach: Mapping[int, int],
+    seq: BurningSequence,
+    grafted: RoundLabeling,
+) -> tuple[BurningSequence, RoundLabeling]:
+    """project_to_subtree(t, attach, seq) for a sequence seq that drives the
+    grafted tree's burn exactly, with grafted its labeling and adj t's
+    adjacency, from the grafted labels instead of a burn.
+
+    A vertex x of t burns in round min over i of (i + d(s_i, x)).  Moving a
+    grafted-leaf source onto its attachment vertex lowers each of its
+    contributions by exactly 1 and leaves every other one as it was, so a
+    label on t is the grafted one or one less, and falls only where a moved
+    source's lowered contribution beats it.  A BFS from each moved source
+    relabels the vertices it improves and goes no further: labels change by
+    at most 1 along an edge, so a vertex the BFS does not improve shields
+    the ones behind it.  Each vertex falls at most once, and the BFS reads
+    the neighbors of the vertices that fall, at most 2(n - 1) entries.
+
+    A source is kept iff its label is its round; the rounds of the others
+    get the lowest id burning in them, as _transport fills them.
+    """
+    n = len(adj)
+    labels = list(grafted.labels[:n])
+    for r, y in enumerate(seq.sources, 1):
+        a = attach.get(y)
+        if a is None or labels[a] <= r:
+            continue
+        labels[a] = r
+        layer = [a]
+        while layer:
+            r += 1
+            reached = []
+            for x in layer:
+                for z in adj[x]:
+                    if labels[z] > r:
+                        labels[z] = r
+                        reached.append(z)
+            layer = reached
+    rounds = max(labels)
+    sources = [attach.get(y, y) for y in seq.sources[:rounds]]
+    beaten = [r for r, x in enumerate(sources, 1) if labels[x] != r]
+    if beaten:
+        lowest = dict(zip(reversed(labels), reversed(range(n))))
+        for r in beaten:
+            sources[r - 1] = lowest[r]
+    return BurningSequence(tuple(sources)), RoundLabeling(tuple(labels), rounds)
+
+
 def construct_general(t: Tree) -> BoundCertificate:
     """Burning sequence of length <= refined_bound(n, n2) for any tree.
 
     Grafts a leaf onto every degree-2 vertex, constructs on the grafted tree
-    with the largest admissible margin, and projects the sequence back; the
-    projection's burn is the labeling.
+    with the largest admissible margin, and projects the sequence back by
+    relabelling the grafted tree's labels on t (_project), which gives the
+    labeling too.
     """
     n = t.n
     t1, attach = augment_degree2(t)
     n2 = t1.n - n  # one leaf grafted per degree-2 vertex
     m = margin(n + n2)  # construct_no_deg2 checks it against t1's order
     inner = construct_no_deg2(t1, m)
-    # inner.target is refined_bound(n, n2) and bounds the projection's length
-    seq, labeling = project_to_subtree(t, attach, inner.sequence)
+    # inner.target is refined_bound(n, n2); the projection is never longer
+    seq, labeling = _project(t.adjacency, attach, inner.sequence, inner.labeling)
     trace = (
         {"step": "augment", "order": t1.n},
         *inner.trace,

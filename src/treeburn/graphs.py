@@ -65,11 +65,20 @@ class Tree(Graph):
         return self.n > 0
 
     @cached_property
+    def rooting(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A BFS order from vertex 0, each vertex after its parent, and each
+        vertex's neighbor towards vertex 0, -1 at 0; in a tree the parent
+        does not depend on neighbor order.  _tree stores the pair its proof
+        found and augment_degree2 extends it; any other Tree runs one BFS,
+        once.  On a Tree built by hand around a cycle, the order misses
+        every vertex that vertex 0 does not reach."""
+        order, parent = _bfs_tree(self.adjacency, 0)
+        return tuple(order), tuple(parent)
+
+    @property
     def parent(self) -> tuple[int, ...]:
-        """Each vertex's neighbor towards vertex 0, -1 at 0; in a tree it
-        does not depend on neighbor order.  _tree stores the one its proof
-        found; any other Tree runs one BFS, once."""
-        return tuple(_bfs_tree(self.adjacency, 0)[1])
+        """The rooting's parent array."""
+        return self.rooting[1]
 
     @property
     def graph(self) -> Graph:
@@ -114,12 +123,12 @@ def as_tree(g: Graph) -> Tree:
 
 def _tree_lists(
     n: int, edges: Iterable[Sequence[int]]
-) -> tuple[list[list[int]], list[int]] | None:
+) -> tuple[list[list[int]], list[int], list[int]] | None:
     """Unsorted neighbor lists of the n - 1 given edges on n >= 1 vertices
-    and the parent array of their BFS from 0, when they form a tree, else
-    None.  n - 1 in-range edges that reach every vertex from 0 form a tree,
-    so they hold no loop and no duplicate: one loop and one BFS check it,
-    with no edge-key set and no sort.  The caller checks the edge count and
+    and the order and parent array of their BFS from 0, when they form a
+    tree, else None.  n - 1 in-range edges that reach every vertex from 0
+    form a tree, so they hold no loop and no duplicate: one loop and one
+    BFS check it, with no edge-key set and no sort.  The caller checks the edge count and
     words a fault (build_graph, as_tree)."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -128,19 +137,20 @@ def _tree_lists(
         adj[u].append(v)
         adj[v].append(u)
     order, parent = _bfs_tree(adj, 0)
-    return (adj, parent) if len(order) == n else None
+    return (adj, order, parent) if len(order) == n else None
 
 
 def _tree(n: int, edges: Iterable[Sequence[int]]) -> Tree | None:
-    """A Tree with sorted neighbor tuples, holding the parent array of its
-    proof, when _tree_lists proves the n - 1 given edges on n >= 1 vertices
-    a tree, else None."""
+    """A Tree with sorted neighbor tuples, holding the BFS order and parent
+    array of its proof, when _tree_lists proves the n - 1 given edges on
+    n >= 1 vertices a tree, else None."""
     proof = _tree_lists(n, edges)
     if proof is None:
         return None
-    list(map(list.sort, proof[0]))
-    t = Tree(tuple(map(tuple, proof[0])))
-    t.__dict__["parent"] = tuple(proof[1])  # Tree.parent's cache
+    adj, order, parent = proof
+    list(map(list.sort, adj))
+    t = Tree(tuple(map(tuple, adj)))
+    t.__dict__["rooting"] = (tuple(order), tuple(parent))  # Tree.rooting's cache
     return t
 
 
@@ -213,14 +223,18 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     vertex; the returned map sends each new leaf to its attachment.  The
     result has no degree-2 vertices and contains t as the induced subtree
     on the original ids.  Grafting keeps a tree a tree, and each new id
-    exceeds every old one, so appending it keeps the adjacency sorted.
+    exceeds every old one, so appending it keeps the adjacency sorted.  The
+    result's rooting is t's with each new leaf after its attachment vertex.
     """
     adj = list(t.adjacency)
     attach = dict(enumerate(degree2_census(t)[1], t.n))
     for leaf, w in attach.items():
         adj[w] += (leaf,)
         adj.append((w,))
-    return Tree(tuple(adj)), attach
+    grafted = Tree(tuple(adj))
+    order, parent = t.rooting
+    grafted.__dict__["rooting"] = (order + tuple(attach), parent + tuple(attach.values()))
+    return grafted, attach
 
 
 def induced_subtree(t: Tree, vertices: Sequence[int]) -> tuple[Tree, tuple[int, ...]]:

@@ -404,13 +404,12 @@ class TestWorkPerLevel:
         levels = [row for row in cert.trace if row["step"] in ("smooth", "pendant")]
         exact_rows = [row for row in cert.trace if row["step"] == "exact"]
         assert len(levels) >= 20 and len(exact_rows) == 1
-        # the levels are relabelled, not burned, and no sequence is
-        # replayed: whatever the level count, the burns are the exact
-        # witness's transport and check, the innermost tree's labels and
-        # the projection, whose labels are the labeling, and the vertices
-        # they burn stay within a small multiple of the order
-        assert counts["burn"] <= 4
-        assert counts["burned"] <= 4 * cert.trace[0]["order"]
+        # the levels are relabelled, not burned, no sequence is replayed,
+        # and the projection relabels the grafted tree's labels: whatever
+        # the level count, the burns are the exact witness's transport and
+        # check and the innermost tree's labels, none over the input tree
+        assert counts["burn"] <= 3
+        assert counts["burned"] <= 3 * construct.EXACT_FALLBACK_N
         assert counts["strict"] <= 1
         assert counts["connected_in_burn"] == 0
         # derived trees are built without a check, and a Tree trusts its
@@ -632,6 +631,61 @@ class TestResumedWalk:
         assert calls[0] >= 2  # at least one walk resumed
 
 
+class TestWorkingTreeRooting:
+    """The working tree's rooting, re-rooted from the Tree's own at vertex
+    0, against a fresh BFS rooting at the lowest-id leaf."""
+
+    @staticmethod
+    def check(t):
+        work = construct._WorkingTree(t)
+        root = next((x for x in range(t.n) if t.degree(x) == 1), 0)
+        order, parent = graphs._bfs_tree(t.adjacency, root)
+        size = [1] * t.n
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        assert (work.root, work.parent, work.size) == (root, parent, size)
+        return root
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees(min_n=1, max_n=60))
+    def test_grafted_trees(self, base):
+        self.check(augment_degree2(base)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_vertex_0_is_the_root(self, n):
+        # a path's vertex 0 is a leaf: the re-root walks no path
+        t = augment_degree2(gen_path(n))[0]
+        assert self.check(t) == 0
+
+    @pytest.mark.parametrize("depth", [1, 2, 50, 400])
+    def test_lowest_leaf_lies_deep(self, depth):
+        # a star at vertex 0 with a path of depth edges ending at the leaf
+        # `depth`; the star's leaves take the higher ids
+        edges = [(i, i + 1) for i in range(depth)]
+        edges += [(0, depth + 1 + j) for j in range(3)]
+        t = augment_degree2(as_tree(build_graph(depth + 4, edges)))[0]
+        assert self.check(t) == depth
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+    def test_hand_built_tree_roots_on_first_read(self, n):
+        for t in (gen_random_no_deg2(n, n), augment_degree2(gen_path(n))[0]):
+            bare = Tree(t.adjacency)
+            assert "rooting" not in bare.__dict__
+            self.check(bare)
+            assert bare.rooting == (tuple(graphs._bfs_tree(t.adjacency, 0)[0]), t.parent)
+
+    @pytest.mark.parametrize("name", ["K4", "Petersen"])
+    def test_hand_built_cyclic_tree_raises(self, name):
+        g = build_graph(*CYCLIC[name])
+        with pytest.raises(NotAcyclic):
+            construct._WorkingTree(Tree(g.adjacency))
+        # the cycle's edge count fits a tree once isolated vertices pad it
+        n, edges = CYCLIC[name]
+        padded = build_graph(len(edges) + 1, edges)
+        with pytest.raises(NotAcyclic):
+            construct._WorkingTree(Tree(padded.adjacency))
+
+
 class TestAgainstRebuildPerLevel:
     """construct_no_deg2 against the per-level rebuild it replaced
     (tests/reference_construct.py): same sequence, labeling and trace."""
@@ -727,6 +781,95 @@ class TestProjectToSubtree:
         projected, labeling = project_to_subtree(t, attach, seq)
         assert len(projected) <= len(seq)
         assert labeling == validate_sequence(t, projected)
+
+
+def leafward_schedule(t1, n, seed):
+    """A schedule for the grafted tree t1, of which ids below n are the
+    input's, that rarely skips a round and mostly ignites an unburned
+    grafted leaf: the sources that construct's own sequences rarely
+    hold, and that make the projection lower labels."""
+    rng = SplitMix64(seed)
+    labels, frontier, rounds, burned, r = [0] * t1.n, [], [], 0, 0
+    while burned < t1.n:
+        r += 1
+        newly = [w for u in frontier for w in t1.neighbors(u) if not labels[w]]
+        for w in newly:
+            labels[w] = r
+        free = [v for v in range(t1.n) if not labels[v]]
+        leaves = [v for v in free if v >= n]
+        pool = leaves if leaves and rng.below(4) else free
+        if pool and (r == 1 or rng.below(8)):
+            src = pool[rng.below(len(pool))]
+            labels[src] = r
+            newly.append(src)
+            rounds.append(src)
+        else:
+            rounds.append(None)
+        burned += len(newly)
+        frontier = newly
+    return tuple(rounds)
+
+
+class TestProjectByRelabel:
+    """construct._project against the burn it replaces, project_to_subtree,
+    on grafted-tree sequences construct never produces: its own outputs
+    keep every label, so they never reach the relabelling."""
+
+    @staticmethod
+    def check(t, seed):
+        """Returns the number of labels the projection lowered."""
+        t1, attach = augment_degree2(t)
+        seq = canonicalize(t1, leafward_schedule(t1, t.n, seed))
+        grafted = validate_sequence(t1, seq)
+        reads = []
+
+        class CountingAdj(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        got = construct._project(CountingAdj(t.adjacency), attach, seq, grafted)
+        assert got == project_to_subtree(t, attach, seq)
+        # a label falls at most once, by one, and the relabelling reads the
+        # neighbors of the vertices that fall, each once
+        fell = [x for x in range(t.n) if got[1].labels[x] != grafted.labels[x]]
+        assert all(got[1].labels[x] == grafted.labels[x] - 1 for x in fell)
+        assert sorted(reads) == fell
+        assert sum(t.degree(x) for x in reads) <= 2 * (t.n - 1)
+        return len(fell)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            trees(min_n=1, max_n=60),
+            st.integers(1, 60).map(gen_path),
+            st.builds(caterpillar, st.integers(1, 20), st.integers(0, 3),
+                      st.integers(0, 99), st.booleans()),
+            st.builds(spider, st.lists(st.integers(1, 8), min_size=1, max_size=6),
+                      st.none() | st.integers(0, 99)),
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_same_sequence_and_labeling(self, t, seed):
+        self.check(t, seed)
+
+    def test_labels_fall_on_seeded_trees(self):
+        # the relabelling is exercised, not only its no-op
+        fell = [self.check(gen_random_tree(n, n), n) for n in range(3, 60)]
+        fell += [self.check(gen_path(n), n) for n in range(3, 60)]
+        assert sum(map(bool, fell)) > len(fell) // 2
+
+    def test_middle_leaf_host_lowers_two_labels(self):
+        # on P3 grafted at 1 by leaf 3, (3, 0, 2) burns 3, {1, 0}, 2; moving
+        # 3 onto 1 burns 1 a round sooner and 2 with it, and round 3 goes
+        t = gen_path(3)
+        t1, attach = augment_degree2(t)
+        seq = BurningSequence((3, 0, 2))
+        grafted = validate_sequence(t1, seq)
+        got = construct._project(t.adjacency, attach, seq, grafted)
+        assert grafted.labels == (2, 2, 3, 1)
+        assert got[0].sources == (1, 0)
+        assert got[1].labels == (2, 1, 2) and got[1].total_rounds == 2
 
 
 @settings(max_examples=60, deadline=None)
