@@ -170,9 +170,9 @@ def _transport(
     bound: int,
 ) -> tuple[BurningSequence, list[int]]:
     """The greedy burn of proposals over a connected adjacency,
-    canonicalized, and every vertex's round in it: how construct projects,
-    how the exact searches get their witnesses, and how canonicalize fills
-    empty rounds.
+    canonicalized, and every vertex's round in it: how construct's oracles
+    project and lift, how the exact searches get their witnesses, and how
+    canonicalize fills empty rounds.
 
     A proposal the fire beat drops out, and each empty round gets the
     lowest-id vertex burning in it.  That vertex burns by adjacency in its

@@ -680,7 +680,7 @@ class TestWorkingTreeRooting:
         with pytest.raises(NotAcyclic):
             construct._WorkingTree(Tree(g.adjacency))
         # the cycle's edge count fits a tree once isolated vertices pad it
-        n, edges = CYCLIC[name]
+        edges = CYCLIC[name][1]
         padded = build_graph(len(edges) + 1, edges)
         with pytest.raises(NotAcyclic):
             construct._WorkingTree(Tree(padded.adjacency))
@@ -792,9 +792,12 @@ def leafward_schedule(t1, n, seed):
     labels, frontier, rounds, burned, r = [0] * t1.n, [], [], 0, 0
     while burned < t1.n:
         r += 1
-        newly = [w for u in frontier for w in t1.neighbors(u) if not labels[w]]
-        for w in newly:
-            labels[w] = r
+        newly = []
+        for u in frontier:
+            for w in t1.neighbors(u):
+                if not labels[w]:
+                    labels[w] = r
+                    newly.append(w)
         free = [v for v in range(t1.n) if not labels[v]]
         leaves = [v for v in free if v >= n]
         pool = leaves if leaves and rng.below(4) else free
@@ -812,8 +815,9 @@ def leafward_schedule(t1, n, seed):
 
 class TestProjectByRelabel:
     """construct._project against the burn it replaces, project_to_subtree,
-    on grafted-tree sequences construct never produces: its own outputs
-    keep every label, so they never reach the relabelling."""
+    on grafted-tree sequences construct does not produce: on every tree
+    tried, its own sequences lower no label, so they leave the relabelling
+    untested."""
 
     @staticmethod
     def check(t, seed):
