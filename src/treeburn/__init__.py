@@ -16,15 +16,12 @@ from .engine import (  # noqa: F401
     BurningSequence,
     RoundLabeling,
     canonicalize,
-    greedy_schedule,
     simulate,
     validate_sequence,
 )
 from .exact import (  # noqa: F401
     ExactResult,
     burning_number,
-    burning_number_naive,
-    spanning_tree_min,
 )
 from .graphs import (  # noqa: F401
     Graph,
@@ -40,12 +37,10 @@ from .graphs import (  # noqa: F401
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    labeled_trees,
     prufer_decode,
 )
 from .construct import (  # noqa: F401
     BoundCertificate,
     construct_general,
     construct_no_deg2,
-    project_to_subtree,
 )

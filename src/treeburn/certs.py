@@ -262,8 +262,8 @@ def verify_document(doc: dict) -> dict:
     if len(seq) > target:
         raise VerificationFailure("sequence longer than target")
     try:
-        _, labels, layers = _burn(adj, seq.sources, strict=True)
-        total_rounds = len(layers)
+        kept, labels = _burn(adj, seq.sources, strict=True)
+        total_rounds = len(kept)
         if total_rounds != len(seq):
             raise LengthMismatch(total_rounds)
     except ValueError as exc:

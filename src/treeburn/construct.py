@@ -38,9 +38,11 @@ from typing import Mapping, Sequence, Union
 
 from .bounds import ceil_sqrt, margin
 from .engine import (
+    EMPTY,
     BurningSequence,
     RoundLabeling,
     _burn,
+    _canonical,
     _transport,
 )
 from .errors import (
@@ -594,7 +596,7 @@ def _project(
     the neighbors of the vertices that fall, at most 2(n - 1) entries.
 
     A source is kept iff its label is its round; the rounds of the others
-    get the lowest id burning in them, as _transport fills them.
+    get the lowest id burning in them (_canonical, as in _transport).
     """
     n = len(adj)
     labels = list(grafted.labels[:n])
@@ -615,12 +617,8 @@ def _project(
             layer = reached
     rounds = max(labels)
     sources = [attach.get(y, y) for y in seq.sources[:rounds]]
-    beaten = [r for r, x in enumerate(sources, 1) if labels[x] != r]
-    if beaten:
-        lowest = dict(zip(reversed(labels), reversed(range(n))))
-        for r in beaten:
-            sources[r - 1] = lowest[r]
-    return BurningSequence(tuple(sources)), RoundLabeling(tuple(labels), rounds)
+    kept = [x if labels[x] == r else EMPTY for r, x in enumerate(sources, 1)]
+    return _canonical(kept, labels), RoundLabeling(tuple(labels), rounds)
 
 
 def construct_general(t: Tree) -> BoundCertificate:

@@ -58,18 +58,17 @@ def _burn(
     adjacency: Sequence[Sequence[int]],
     rounds: Sequence[Optional[int]],
     strict: bool,
-) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
-    """The round loop shared by simulate, greedy_schedule, the transport
-    step, construct's innermost tree and the certificate verifier: run the
-    process on adjacency until every vertex burns.  Neighbor order does not
-    change a vertex's round, so adjacency need not be sorted.
+) -> tuple[list[Optional[int]], list[int]]:
+    """The round loop shared by simulate, greedy_schedule, canonicalize,
+    _transport, construct's innermost tree and the certificate verifier:
+    run the process on adjacency until every vertex burns.  Neighbor order
+    does not change a vertex's round, so adjacency need not be sorted.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise; when strict, so
     does a source scheduled after the process has ended.  Returns the
     per-round sources actually used, up to the round the process ends in,
-    every vertex's round (0 for one that never burned) and the vertices
-    each round burned.
+    and every vertex's round; no round's vertices outlive the next round.
 
     Every round burns some vertex until the last, so a round that burns
     none raises NotConnected instead of looping forever.
@@ -79,7 +78,6 @@ def _burn(
         raise ValueError("round 1 needs a concrete source")
     labels = [0] * n
     frontier: list[int] = []
-    layers: list[list[int]] = []
     burned_count = 0
     kept: list[Optional[int]] = []
     r = 0
@@ -107,7 +105,6 @@ def _burn(
         if not newly:
             raise NotConnected(f"round {r} burns nothing: the graph is not connected")
         kept.append(src)
-        layers.append(newly)
         burned_count += len(newly)
         frontier = newly
     if strict:
@@ -115,12 +112,26 @@ def _burn(
         for later in range(r, len(rounds)):
             if rounds[later] is not None:
                 raise SourceAlreadyBurned(later + 1, rounds[later])
-    return kept, labels, layers
+    return kept, labels
+
+
+def _canonical(rounds: Sequence[Optional[int]], labels: Sequence[int]) -> BurningSequence:
+    """The per-round sources of a process whose rounds labels holds, each
+    empty round filled with the lowest id burning in it, by one pass over
+    labels made only when a round is empty.  That vertex burns by adjacency
+    in its round, so the sequence drives the same process.  _transport,
+    canonicalize and construct._project all fill rounds here."""
+    if EMPTY not in rounds:
+        return BurningSequence(tuple(rounds))
+    lowest = dict(zip(reversed(labels), reversed(range(len(labels)))))
+    return BurningSequence(
+        tuple(lowest[r] if s is None else s for r, s in enumerate(rounds, 1))
+    )
 
 
 def _burn_graph(
     g: Graph, rounds: Sequence[Optional[int]], strict: bool
-) -> tuple[list[Optional[int]], list[int], list[list[int]]]:
+) -> tuple[list[Optional[int]], list[int]]:
     """_burn over all of g.  Only a bare Graph gets a connectivity pass:
     Tree.is_connected trusts the type."""
     if g.n == 0 or not g.is_connected():
@@ -136,8 +147,8 @@ def simulate(g: Graph, rounds: Sequence[Optional[int]]) -> RoundLabeling:
     burned at the start of its round -- including any source scheduled after
     the process has already terminated.
     """
-    _, labels, layers = _burn_graph(g, rounds, strict=True)
-    return RoundLabeling(tuple(labels), len(layers))
+    kept, labels = _burn_graph(g, rounds, strict=True)
+    return RoundLabeling(tuple(labels), len(kept))
 
 
 def validate_sequence(g: Graph, seq: BurningSequence) -> RoundLabeling:
@@ -160,8 +171,8 @@ def greedy_schedule(
     transformed tree back to the original: stale sources drop out silently
     instead of invalidating the schedule.
     """
-    kept, labels, layers = _burn_graph(g, proposals, strict=False)
-    return tuple(kept), RoundLabeling(tuple(labels), len(layers))
+    kept, labels = _burn_graph(g, proposals, strict=False)
+    return tuple(kept), RoundLabeling(tuple(labels), len(kept))
 
 
 def _transport(
@@ -169,27 +180,23 @@ def _transport(
     proposals: Sequence[Optional[int]],
     bound: int,
 ) -> tuple[BurningSequence, list[int]]:
-    """The greedy burn of proposals over a connected adjacency,
-    canonicalized, and every vertex's round in it: how construct's oracles
-    project and lift, how the exact searches get their witnesses, and how
-    canonicalize fills empty rounds.
-
-    A proposal the fire beat drops out, and each empty round gets the
-    lowest-id vertex burning in it.  That vertex burns by adjacency in its
-    round, so the sequence drives this very burn when replayed strictly,
-    and the rounds are its labels.  The burn must end within bound rounds.
+    """The greedy burn of proposals over a connected adjacency, in
+    canonical form (_canonical), and every vertex's round in it: how
+    construct's oracles project and lift, and how the exact searches get
+    their witnesses.  A proposal the fire beat drops out, and its round is
+    filled like every empty one, so the sequence drives this very burn when
+    replayed strictly.  The burn must end within bound rounds.
     """
-    kept, labels, layers = _burn(adjacency, proposals, False)
-    if len(layers) > bound:
+    kept, labels = _burn(adjacency, proposals, False)
+    if len(kept) > bound:
         raise InternalBoundViolation(
-            f"transport took {len(layers)} rounds, bound {bound}"
+            f"transport took {len(kept)} rounds, bound {bound}"
         )
-    seq = tuple(min(layer) if s is None else s for s, layer in zip(kept, layers))
-    return BurningSequence(seq), labels
+    return _canonical(kept, labels), labels
 
 
 def canonicalize(g: Graph, rounds: Sequence[Optional[int]]) -> BurningSequence:
     """Fill every empty round with the lowest-id vertex burned in that round,
-    producing a burning sequence that induces the identical process."""
-    simulate(g, rounds)  # the strict check: every source unburned in its round
-    return _transport(g.adjacency, rounds, g.n)[0]
+    producing a burning sequence that induces the identical process.  One
+    strict burn checks every source and gives the labels the fill reads."""
+    return _canonical(*_burn_graph(g, rounds, strict=True))

@@ -6,9 +6,9 @@ k-1, ..., 0 cover every vertex.  burning_number() sends a connected graph
 with n - 1 edges -- a tree, whatever its type -- to a search built for
 trees, and every other graph to a general pruned search: it proposes k
 sources, each unburned at the start of its round, whose balls cover the
-graph.  burning_number_naive() enumerates source sequences outright and
-judges each one purely by simulation; it is the arbiter in every
-cross-check, and neither search is ever trusted on its own.
+graph.  The arbiter in every cross-check, an enumeration of source
+sequences judged purely by simulation, lives with the tests
+(tests/oracles.py), and neither search is ever trusted on its own.
 
 Neither search asks for exactly k rounds; _solve makes the result exact.
 It runs both searches from k = ceil_sqrt(diameter + 1) up (a ball of
@@ -48,21 +48,13 @@ eccentricity in the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Optional
 
 from .bounds import ceil_sqrt
 from .engine import EMPTY, BurningSequence, _transport, validate_sequence
-from .errors import (
-    InternalBoundViolation,
-    NotConnected,
-    SearchBudgetExceeded,
-    TooLarge,
-)
-from .graphs import Graph, Tree, _bfs_tree, _tree, as_tree, bfs_distances
+from .errors import InternalBoundViolation, NotConnected, SearchBudgetExceeded
+from .graphs import Graph, Tree, _bfs_tree, as_tree, bfs_distances
 
-NAIVE_MAX_N = 12
-SPANNING_MAX_N = 8
 # Nodes one exact solve may explore: 13x the largest count on any input of
 # perfbench's full workloads (230249, the general search on a 37-vertex
 # graph).  At the budget the tree search has run about 1.5 s (Python 3.11 on
@@ -180,6 +172,8 @@ class _TreeSearch:
 
     def __init__(self, tree: Tree):
         adjacency = tree.adjacency
+        # a BFS of its own, not tree.rooting: the parse's BFS walks unsorted
+        # neighbor lists, and its bit ids change witnesses and node counts
         order, parent = _bfs_tree(adjacency, 0)
         parent[0] = 0  # in bit ids too, the root is its own parent
         bit = [0] * tree.n
@@ -294,43 +288,3 @@ def burning_number(g: Graph) -> ExactResult:
         return _burning_number_general(g)
     t = as_tree(g)  # checks connectivity once; the burns below trust the type
     return _solve(t, _TreeSearch(t))
-
-
-def burning_number_naive(g: Graph) -> ExactResult:
-    """Burning number by enumerating every source sequence and simulating.
-
-    No pruning beyond the definition itself; this is the independent oracle
-    the clever search is compared against.  Guarded to n <= 12.
-    """
-    _require_connected(g)
-    if g.n > NAIVE_MAX_N:
-        raise TooLarge(f"naive enumeration guarded to n <= {NAIVE_MAX_N}")
-    tried = 0
-    for k in range(1, g.n + 1):
-        for sources in permutations(range(g.n), k):
-            tried += 1
-            seq = BurningSequence(sources)
-            try:
-                validate_sequence(g, seq)
-            except ValueError:
-                continue
-            return ExactResult(k, seq, tried)
-    raise AssertionError("a connected graph is always burnable")  # pragma: no cover
-
-
-def _spanning_trees(graph: Graph):
-    """Every spanning tree: each n - 1 edges that graphs._tree proves a tree."""
-    n = graph.n
-    for subset in combinations(graph.edges(), n - 1):
-        if (tree := _tree(n, subset)) is not None:
-            yield tree
-
-
-def spanning_tree_min(g: Graph) -> int:
-    """Minimum burning number over all spanning trees.  Guarded to n <= 8."""
-    _require_connected(g)
-    if g.n > SPANNING_MAX_N:
-        raise TooLarge(f"spanning-tree enumeration guarded to n <= {SPANNING_MAX_N}")
-    if g.n == 1:
-        return 1
-    return min(burning_number(t).burning_number for t in _spanning_trees(g))

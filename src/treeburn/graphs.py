@@ -10,8 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -55,8 +54,8 @@ class Graph:
 @dataclass(frozen=True)
 class Tree(Graph):
     """Connected acyclic graph, made from an edge list by _tree (generators,
-    parse_edge_list, the spanning-tree oracle) or from a Graph by as_tree(),
-    which check this, or derived from a Tree by grafting leaves
+    parse_edge_list, the tests' spanning-tree oracle) or from a Graph by
+    as_tree(), which check this, or derived from a Tree by grafting leaves
     (augment_degree2) or by smoothing a vertex (construct.smooth), both of
     which keep it a tree.  Connectivity checks trust the type instead of
     running a pass."""
@@ -283,15 +282,6 @@ def prufer_decode(code: Sequence[int]) -> Tree:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return _tree(n, edges)
-
-
-def labeled_trees(n: int) -> Iterator[Tree]:
-    """Every labeled tree on n vertices, in Prufer-code order."""
-    if n < 1:
-        raise ValueError("tree needs n >= 1")
-    if n == 1:
-        return iter([_tree(1, [])])
-    return map(prufer_decode, product(range(n), repeat=n - 2))
 
 
 # ---------------------------------------------------------------------------

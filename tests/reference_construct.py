@@ -7,8 +7,8 @@ induced_subtree + smooth, and the small-tree witness from the general
 search's first cover at k = 1, 2, ...  Each level also keeps its map to
 t's ids, in which the trace rows name vertices, and lifts by a greedy burn
 of its whole tree (engine._burn) with its own part-first fill of the empty
-rounds (lift).  Tests compare its certificates with construct_no_deg2's,
-field for field.
+rounds, from each round's vertices read off the burn's labels (lift).
+Tests compare its certificates with construct_no_deg2's, field for field.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def lift(adjacency, proposals, bound, in_part):
     burn within bound rounds.  Each empty round gets the lowest-id vertex
     burning in it: from the part up to the round that burns the last of
     the part, from every burned vertex after that."""
-    kept, _, layers = _burn(adjacency, proposals, False)
+    kept, labels = _burn(adjacency, proposals, False)
+    layers = [[] for _ in kept]
+    for x, r in enumerate(labels):
+        layers[r - 1].append(x)
     part_rounds = max(
         r for r, layer in enumerate(layers, 1) if any(map(in_part, layer))
     )

@@ -13,7 +13,6 @@ import pytest
 from treeburn import (
     BurningSequence,
     burning_number,
-    burning_number_naive,
     ceil_sqrt,
     construct_general,
     construct_no_deg2,
@@ -23,14 +22,13 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    labeled_trees,
     refined_bound,
-    spanning_tree_min,
     validate_sequence,
 )
 from treeburn.bounds import margin
 from treeburn.errors import PreconditionViolated
 
+from .oracles import burning_number_naive, labeled_trees, spanning_tree_min
 from .smallgraphs import connected_graph_reps
 
 

@@ -19,6 +19,21 @@ from treeburn.bounds import (
 )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: margin(0), "total must be positive"),
+        (lambda: refined_bound(0, 0), "need n >= 1 and 0 <= n2 <= n"),
+        (lambda: conjecture_guaranteed(0, 0), "need n >= 1"),
+    ],
+    ids=["margin", "refined_bound", "conjecture_guaranteed"],
+)
+def test_bounds_refuse_an_empty_tree(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
 class TestCeilSqrt:
     def test_values(self):
         assert ceil_sqrt(0) == 0

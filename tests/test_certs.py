@@ -293,8 +293,8 @@ class TestUntrustedTree:
         vertex burned in two rounds and every claim right, but no tree."""
         doc = self.split_document({"n": 4, "edges": [[1, 2], [1, 3], [2, 3]]})
         adj = [[], [2, 3], [1, 3], [1, 2]]
-        _, labels, layers = engine._burn(adj, doc["sequence"], True)
-        assert (labels, len(layers)) == ([2, 1, 2, 2], 2)
+        kept, labels = engine._burn(adj, doc["sequence"], True)
+        assert (labels, len(kept)) == ([2, 1, 2, 2], 2)
         with pytest.raises(VerificationFailure) as failure:
             verify_document(doc)
         assert failure.value.reason == (

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from treeburn import cli, exact
 from treeburn.cli import main, parse_edge_list, format_edge_list, ParseError
 from treeburn import Graph, Tree, as_tree, build_graph, gen_cycle, gen_path, gen_random_tree
+from treeburn.bounds import bound_table
 from treeburn.graphs import _bfs_tree
 from treeburn.rng import SplitMix64
 
@@ -36,6 +38,11 @@ class TestEdgeListFormat:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError, match=r":3:"):
             parse_edge_list("3\n0 1\n1 2 9\n", name="bad.txt")
+
+    def test_two_fields_on_the_first_data_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("# no count\n0 1\n1 2\n", name="bad.txt")
+        assert str(exc.value).startswith("bad.txt:2: expected vertex count, got '0 1'")
 
     def test_bad_edge_reported(self):
         with pytest.raises(ParseError):
@@ -178,6 +185,11 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_wrong_parameter_count(self, capsys):
+        code, out, err = run(["gen", "path", "4", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: kind 'path' takes 1 parameter(s)")
+
 
 class TestSimulate:
     def test_two_source_pair(self, tmp_path, capsys):
@@ -212,7 +224,23 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err
 
 
+    def test_bad_source_token(self, tmp_path, capsys):
+        tree = tmp_path / "p2.txt"
+        tree.write_text("2\n0 1\n")
+        code, out, err = run(["simulate", str(tree), "0", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: source token 'x' is not an integer or '_'")
+
+
 class TestExact:
+    def test_disconnected_graph_with_n_minus_1_edges_exits_1(self, tmp_path, capsys):
+        # a triangle and an isolated vertex: the edge count of a tree
+        graph = tmp_path / "split.txt"
+        graph.write_text("4\n1 2\n1 3\n2 3\n")
+        code, out, err = run(["exact", str(graph)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: graph with 4 vertices is not connected")
+
     def test_path9(self, tmp_path, capsys):
         tree = tmp_path / "p9.txt"
         tree.write_text("9\n" + "\n".join(f"{i} {i+1}" for i in range(8)) + "\n")
@@ -253,6 +281,12 @@ class TestBounds:
         code, out, _ = run(["bounds", "9", "7"], capsys)
         assert code == 0
         assert re.search(r"refined\s+4", out)
+
+    def test_json(self, capsys):
+        code, out, _ = run(["bounds", "9", "7", "--format", "json"], capsys)
+        assert code == 0
+        assert out.startswith("{\n")
+        assert json.loads(out) == bound_table(9, 7).as_dict()
 
 
 class TestConstructVerify:
@@ -354,6 +388,23 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{path}", "0"],
+        ["exact", "{path}"],
+        ["construct", "{path}", "--cert", "{path}.json"],
+        ["verify", "{path}"],
+    ],
+    ids=["simulate", "exact", "construct", "verify"],
+)
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing.txt"
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize("n, n2", [("0", "0"), ("5", "9"), ("-3", "0")])
@@ -486,6 +537,53 @@ class TestBench:
     def test_bad_spec(self, capsys):
         code, _, err = run(["bench", "nonsense"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cycle:1:4", "bench kind must be one of"),
+            ("path:two:4", "corpus clause 'path:two:4' has non-integer fields"),
+            ("path:1:5..x", "corpus clause 'path:1:5..x' has non-integer fields"),
+            ("path:1:5..4", "corpus clause 'path:1:5..4' has an empty range"),
+            ("path:0:4", "corpus clause 'path:0:4' has an empty range"),
+        ],
+        ids=["unknown-kind", "count", "range", "empty-range", "no-instances"],
+    )
+    def test_bad_clauses_are_worded(self, capsys, spec, message):
+        code, out, err = run(["bench", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_contract_violations_exit_1_after_the_full_csv(self, monkeypatch, capsys):
+        """One row claims more rounds than the refined bound, another an
+        exact value above its constructed length: each gets one line on
+        stderr, and every row still reaches the CSV."""
+        construct, solve = cli.construct_general, cli.burning_number
+
+        def long_construct(tree):
+            cert = construct(tree)
+            if tree.n == 4:  # 100 rounds against a refined bound of 3
+                cert = dataclasses.replace(cert, sequence=tuple(range(100)))
+            return cert
+
+        def high_exact(g):
+            res = solve(g)
+            return dataclasses.replace(res, burning_number=99) if g.n == 6 else res
+
+        monkeypatch.setattr(cli, "construct_general", long_construct)
+        monkeypatch.setattr(cli, "burning_number", high_exact)
+        code, out, err = run(["bench", "path:3:4..6", "--jobs", "1"], capsys)
+        assert code == 1
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(r["instance"], r["exact"], r["constructed"]) for r in rows] == [
+            ("path-00000-n4", "2", "100"),
+            ("path-00001-n5", "3", "3"),
+            ("path-00002-n6", "99", "3"),
+        ]
+        assert err.splitlines() == [
+            "contract violation: path-00000-n4: constructed > refined bound",
+            "contract violation: path-00002-n6: exact > constructed",
+        ]
 
 
 def test_console_entry_point():

@@ -27,25 +27,24 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    greedy_schedule,
-    labeled_trees,
-    project_to_subtree,
     prufer_decode,
     refined_bound,
     validate_sequence,
 )
 from treeburn import Tree, construct, engine, exact, graphs
 from treeburn.bounds import margin
-from treeburn.construct import find_separator, lift_sequence, smooth
+from treeburn.construct import find_separator, lift_sequence, project_to_subtree, smooth
 from treeburn.errors import (
     DegreeTooSmall,
     NotAcyclic,
     PreconditionViolated,
     StructureMismatch,
 )
+from treeburn.engine import greedy_schedule
 from treeburn.graphs import component_vertices_beyond, induced_subtree
 from treeburn.rng import SplitMix64
 
+from .oracles import labeled_trees
 from .reference_construct import lift as reference_lift
 from .reference_construct import reference_construct_no_deg2
 from .strategies import (
@@ -490,7 +489,7 @@ class TestLevelLabels:
             local = {x: i for i, x in enumerate(tree)}
             level_adj = [[local[y] for y in adj[x]] for x in tree]
             local_proposals = [local[x] for x in proposals]
-            _, burned, _ = engine._burn(level_adj, local_proposals, False)
+            _, burned = engine._burn(level_adj, local_proposals, False)
             assert [labels.labels[x] - level for x in tree] == burned
             seq, total = reference_lift(
                 level_adj, local_proposals, len(proposals),

@@ -9,10 +9,12 @@ from treeburn import (
     build_graph,
     canonicalize,
     gen_path,
-    greedy_schedule,
     simulate,
     validate_sequence,
 )
+import treeburn
+from treeburn import engine
+from treeburn.engine import _burn, _canonical, greedy_schedule
 from treeburn.errors import (
     LengthMismatch,
     NotConnected,
@@ -113,6 +115,10 @@ class TestValidateSequence:
         with pytest.raises(ValueError):
             BurningSequence((0, 0))
 
+    def test_empty_sequence_rejected_by_type(self):
+        with pytest.raises(ValueError, match="burning sequence must be nonempty"):
+            BurningSequence(())
+
 
 class TestCanonicalize:
     def test_fills_empty_round_with_lowest_id(self):
@@ -145,6 +151,79 @@ class TestCanonicalize:
 def test_source_ids_outside_the_graph_are_rejected(call):
     with pytest.raises(VertexOutOfRange, match="is not a vertex"):
         call(gen_path(6))
+
+
+@st.composite
+def graphs_and_proposals(draw):
+    """A connected graph (a tree plus chords) and per-round proposals whose
+    greedy burn has empty rounds and proposals the fire beat."""
+    t = draw(trees(min_n=1, max_n=20))
+    n = t.n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chords = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    g = build_graph(n, set(t.edges()) | set(chords))
+    first = draw(st.integers(0, n - 1))
+    rest = draw(st.lists(st.none() | st.integers(0, n - 1), max_size=n + 2))
+    return g, [first, *rest]
+
+
+class TestCanonical:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_proposals())
+    def test_each_filled_round_holds_its_lowest_id(self, case):
+        g, proposals = case
+        kept, labels = _burn(g.adjacency, proposals, False)
+        seq = _canonical(kept, labels)
+        assert len(seq) == len(kept)
+        for r, (s, x) in enumerate(zip(kept, seq.sources), 1):
+            if s is None:
+                assert x == min(v for v in range(g.n) if labels[v] == r)
+            else:
+                assert x == s
+        assert simulate(g, seq.sources).labels == tuple(labels)
+
+    def test_demoted_and_empty_rounds_are_filled(self):
+        # P5 from 2: round 2 is empty, 1 and 3 burn in it, and the fire
+        # beats the round-3 proposal 3; 0 and 4 burn in round 3
+        kept, labels = _burn(gen_path(5).adjacency, (2, EMPTY, 3), False)
+        assert kept == [2, EMPTY, EMPTY]
+        assert _canonical(kept, labels).sources == (2, 1, 0)
+
+    def test_full_rounds_pass_through(self):
+        assert _canonical([3, 1], [2, 2, 2, 1]).sources == (3, 1)
+
+
+def test_canonicalize_burns_once(monkeypatch):
+    calls = []
+
+    def counting_burn(adjacency, rounds, strict):
+        calls.append(strict)
+        return _burn(adjacency, rounds, strict)
+
+    monkeypatch.setattr(engine, "_burn", counting_burn)
+    for t, rounds in [
+        (gen_path(9), (4,)),
+        (gen_path(3), (1, EMPTY)),
+        (gen_path(4), (1, 3)),
+        (build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (0, EMPTY)),
+    ]:
+        calls.clear()
+        canonicalize(t, rounds)
+        assert calls == [True]
+
+
+def test_namespace_drops_the_oracles_and_unused_helpers():
+    for name in (
+        "burning_number_naive",
+        "spanning_tree_min",
+        "labeled_trees",
+        "project_to_subtree",
+        "greedy_schedule",
+    ):
+        assert not hasattr(treeburn, name)
+    # perfbench's spans still wrap these two by module and name
+    assert callable(treeburn.construct.project_to_subtree)
+    assert callable(treeburn.engine.greedy_schedule)
 
 
 class TestGreedySchedule:

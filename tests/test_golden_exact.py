@@ -17,9 +17,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from treeburn import build_graph, burning_number, gen_cycle, gen_random_tree, labeled_trees
+from treeburn import build_graph, burning_number, gen_cycle, gen_random_tree
 from treeburn.exact import _burning_number_general
 from treeburn.rng import SplitMix64
+
+from .oracles import labeled_trees
 
 GOLDEN = Path(__file__).with_name("golden_exact.json")
 LABELED_MAX_N = 7

@@ -16,7 +16,6 @@ from treeburn import (
     gen_path,
     gen_random_no_deg2,
     gen_random_tree,
-    labeled_trees,
     prufer_decode,
 )
 from treeburn.errors import (
@@ -29,7 +28,9 @@ from treeburn.errors import (
 )
 from treeburn.construct import smooth
 from treeburn.graphs import _bfs_tree, component_vertices_beyond, induced_subtree
+from treeburn.rng import SplitMix64
 
+from .oracles import labeled_trees
 from .strategies import trees
 
 
@@ -295,6 +296,22 @@ class TestGenerators:
             gen_full_binary(-1)
         with pytest.raises(ValueError):
             gen_double_star(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_graph(-1, []), ValueError, "vertex_count must be nonnegative"),
+        (lambda: prufer_decode([5]), VertexOutOfRange, "code entry 5 outside 0..2"),
+        (lambda: gen_random_tree(0, 0), ValueError, "tree needs n >= 1"),
+        (lambda: SplitMix64(1).below(0), ValueError, "bound must be positive"),
+    ],
+    ids=["build_graph", "prufer_decode", "gen_random_tree", "below"],
+)
+def test_constructors_refuse_arguments_outside_their_domain(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value).startswith(message)
 
 
 class TestPrufer:
