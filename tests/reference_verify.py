@@ -1,19 +1,22 @@
-"""verify_document as it was before the one-pass tree check, for
-differential tests.
+"""verify_document as it was before the one-pass tree check and the
+labels lemma, for differential tests.
 
 The tree is built the checked way: every edge's type, then build_graph
 (edge-key set, sorted neighbor tuples) and as_tree (connectivity BFS, edge
 count), and the sequence is replayed by validate_sequence on that Tree.  A
 parent array (schema 4) gets the same first checks as verify_document's,
-then the same build on the edges (v, parent[v]) for v in 1..n-1.
-Tests compare its reasons and summaries with verify_document's, document
-for document.
+one entry at a time, then the same build on the edges (v, parent[v]) for
+v in 1..n-1: no pointer doubling.  The stored labels are compared with a
+dict of the replay's, never proved from themselves.  Every claim is
+checked here, by its own _check_claim, so that a fault in the package's
+claim check cannot pass on both sides.  Tests compare its reasons and
+summaries with verify_document's, document for document.
 """
 
 from __future__ import annotations
 
 from treeburn.bounds import bound_table
-from treeburn.certs import VerificationFailure, _check_claim
+from treeburn.certs import VerificationFailure
 from treeburn.engine import BurningSequence, validate_sequence
 from treeburn.graphs import Tree, as_tree, build_graph, degree2_census
 
@@ -51,6 +54,11 @@ def _parent_tree(n, tree_obj: dict) -> Tree:
     if parent[0] != -1:
         raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
     return as_tree(build_graph(n, [(v, parent[v]) for v in range(1, n)]))
+
+
+def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
+    if doc.get(key) != value or type(doc.get(key)) is not int:
+        raise VerificationFailure(f"{what} mismatch")
 
 
 def reference_verify_document(doc: dict) -> dict:

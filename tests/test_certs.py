@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -531,19 +532,45 @@ def outcome(verify, doc):
 
 
 def checked_outcome(doc):
-    """verify_document's outcome with the bulk check turned off."""
-    with mock.patch.object(certs, "_proved_by_labels", lambda doc: None):
+    """verify_document's outcome with the labels lemma turned off, so that
+    every sequence is burned."""
+    with mock.patch.object(certs, "_labels_proved", lambda *args: False):
         return outcome(verify_document, doc)
+
+
+class Needed(Exception):
+    """Raised by a stand-in for a function the labels lemma makes needless."""
+
+
+@contextlib.contextmanager
+def neither_burn_nor_lists():
+    """certs._burn and certs._tree_lists raise Needed while it is open."""
+
+    def needed(*args):
+        raise Needed
+
+    with mock.patch.object(certs, "_burn", needed), mock.patch.object(certs, "_tree_lists", needed):
+        yield
+
+
+def proved_by_labels(doc):
+    """verify_document's summary when it accepts doc with neither a burn
+    nor neighbor lists, else None."""
+    with neither_burn_nor_lists():
+        try:
+            return verify_document(doc)
+        except (Needed, VerificationFailure):
+            return None
 
 
 def assert_same_outcome(doc):
     """verify_document, its checked route alone and the reference give the
-    same reason or summary, and where the bulk check accepts, its summary
-    is theirs."""
+    same reason or summary, and where the labels lemma accepts alone, its
+    summary is theirs."""
     expected = outcome(reference_verify_document, doc)
     assert outcome(verify_document, doc) == expected
     assert checked_outcome(doc) == expected
-    summary = certs._proved_by_labels(doc)
+    summary = proved_by_labels(doc)
     assert summary is None or summary == expected
 
 
@@ -691,10 +718,11 @@ def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
 
 
 # ---------------------------------------------------------------------------
-# The bulk check: a parent-array certificate is accepted from its claimed
-# labels, with no neighbor lists and no burn, and refused by the checked
-# route alone.  assert_same_outcome above compares the two on every fuzzed,
-# malformed and edited document.
+# The labels lemma: a parent array proved a tree by pointer doubling is
+# accepted from its claimed labels, with no neighbor lists and no burn
+# (proved_by_labels); any other document is burned.  assert_same_outcome
+# above compares verify_document with and without the lemma on every
+# fuzzed, malformed and edited document.
 # ---------------------------------------------------------------------------
 
 SHAPES = {
@@ -711,7 +739,7 @@ def test_seeded_valid_certificates_are_accepted_in_bulk():
     generators = (gen_random_tree, gen_random_no_deg2, lambda n, seed: gen_path(n))
     for i in range(150):
         doc = certificate(3 + rng.below(400), i, generators[i % 3])
-        summary = certs._proved_by_labels(doc)
+        summary = proved_by_labels(doc)
         assert summary is not None and summary["ok"] is True
         assert summary == checked_outcome(doc) == reference_verify_document(doc)
 
@@ -735,7 +763,7 @@ def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     summary = verify_document(doc)
     assert calls == []
-    monkeypatch.setattr(certs, "_proved_by_labels", lambda doc: None)
+    monkeypatch.setattr(certs, "_labels_proved", lambda *args: False)
     assert verify_document(doc) == summary
     assert "_burn" in calls and "_tree_lists" in calls
 
@@ -801,7 +829,7 @@ def test_bulk_accepts_exactly_the_true_labels_of_valid_sequences(tree, origin, e
         and list(labeling.labels) == labels
         and len(seq) <= doc["target"]
     )
-    summary = certs._proved_by_labels(doc)
+    summary = proved_by_labels(doc)
     assert (summary is not None) == accepted
     assert_same_outcome(doc)
 
@@ -815,7 +843,7 @@ def test_paths_rooted_at_an_end_are_accepted(depth):
     this depth; these depths sit on either side of each power of two."""
     doc = certificate(depth + 1, 0, lambda n, seed: gen_path(n))
     assert doc["tree"]["parent"] == [-1, *range(depth)]
-    summary = certs._proved_by_labels(doc)
+    summary = proved_by_labels(doc)
     if depth >= 2:
         assert summary is not None
     assert verify_document(doc) == checked_outcome(doc) == reference_verify_document(doc)
@@ -826,17 +854,18 @@ def test_stars_are_accepted(leaves):
     """gen_double_star(48, 0) is a star centred at vertex 0, and
     gen_double_star(0, 48) one centred at vertex 1, a leaf's neighbor."""
     doc = certificate(50, 0, lambda n, seed: gen_double_star(*leaves))
-    summary = certs._proved_by_labels(doc)
+    summary = proved_by_labels(doc)
     assert summary is not None
     assert summary == checked_outcome(doc) == reference_verify_document(doc)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_orders_below_3_take_the_checked_route(n):
-    """itemgetter of one index returns the item, not a tuple, so the bulk
-    check leaves these orders to the checked route, which accepts them."""
+    """itemgetter of one index returns the item, not a tuple, so these
+    orders are proved a tree by graphs._tree_lists and burned, and
+    accepted."""
     doc = certificate(n, 0, lambda n, seed: gen_path(n))
-    assert certs._proved_by_labels(doc) is None
+    assert proved_by_labels(doc) is None
     assert verify_document(doc) == reference_verify_document(doc)
     assert verify_document(doc)["ok"] is True
 
@@ -882,10 +911,147 @@ def set_parent(v, p):
 )
 def test_malformed_parents_far_from_0_keep_their_reasons(base, edit, reason):
     doc = copy.deepcopy(BULK_BASES[base])
-    assert certs._proved_by_labels(doc) is not None
+    assert proved_by_labels(doc) is not None
     edit(doc["tree"]["parent"])
-    assert certs._proved_by_labels(doc) is None
+    assert proved_by_labels(doc) is None
     with pytest.raises(VerificationFailure) as failure:
         verify_document(doc)
     assert failure.value.reason == f"malformed tree: {reason}"
+    assert_same_outcome(doc)
+
+
+# ---------------------------------------------------------------------------
+# One route: the tree's shape is checked once, the bound table built once
+# and each claim read once, whether the labels lemma or the burn settles the
+# labels, and every check after the labels runs on either.
+# ---------------------------------------------------------------------------
+
+
+def lines_run(fn, text: str) -> int:
+    """How many times lines of treeburn/certs.py holding text run in fn()."""
+    path = certs.__file__
+    source = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = {i for i, line in enumerate(source, 1) if text in line}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno in lines
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def edit_label(doc):
+    doc["labels"][str(doc["n"] - 1)] += 1
+
+
+def edit_rounds(doc):
+    doc["total_rounds"] += 1
+
+
+class ReadCounted(dict):
+    """A document that records every key read from it."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [(edit_label, "labels mismatch"), (edit_rounds, "round count mismatch")],
+    ids=["label", "total-rounds"],
+)
+def test_a_refused_certificate_is_read_once(monkeypatch, edit, reason):
+    doc = certificate(300, 4)
+    edit(doc)
+    doc = ReadCounted(doc)
+    tables = []
+
+    def counted(n, n2):
+        tables.append((n, n2))
+        return bound_table(n, n2)
+
+    monkeypatch.setattr(certs, "bound_table", counted)
+
+    def refuse():
+        with pytest.raises(VerificationFailure, match=f"^{reason}$"):
+            verify_document(doc)
+
+    assert lines_run(refuse, "len(parent) != n") == 1
+    assert tables == [(300, dict.get(doc, "n2"))]
+    assert sorted(doc.reads) == sorted(set(doc.reads))
+
+
+def claim_edited(key, value) -> dict:
+    doc = certificate(200, 9)
+    assert proved_by_labels(doc) is not None
+    doc[key] = value(doc[key])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (claim_edited("total_rounds", lambda k: k - 1), "round count mismatch"),
+        (claim_edited("total_rounds", float), "round count mismatch"),
+        (claim_edited("total_rounds", lambda k: None), "round count mismatch"),
+        (claim_edited("bound_table", lambda t: {**t, "refined": t["refined"] + 1}), "bound table mismatch"),
+        (claim_edited("bound_table", lambda t: {**t, "m": float(t["m"])}), "bound table mismatch"),
+        (claim_edited("bound_table", lambda t: None), "bound table mismatch"),
+    ],
+    ids=["rounds-minus-1", "rounds-float", "rounds-null", "refined", "m-float", "table-null"],
+)
+def test_claims_after_the_labels_proof_are_checked(doc, reason):
+    """The labels prove the sequence, and the claims after them still
+    refuse it, with neither a burn nor neighbor lists."""
+    assert proved_by_labels(doc) is None
+    with neither_burn_nor_lists(), pytest.raises(VerificationFailure) as failure:
+        verify_document(doc)
+    assert failure.value.reason == reason
+    assert_same_outcome(doc)
+
+
+@pytest.mark.parametrize("key", ["n", "n2", "m", "target", "total_rounds", "bound_table"])
+def test_a_tree_the_doubling_refuses_is_refused_before_the_claims(key):
+    doc = copy.deepcopy(BULK_BASES["random"])
+    cycle(doc["tree"]["parent"], 3)
+    doc[key] = None
+    with pytest.raises(VerificationFailure) as failure:
+        verify_document(doc)
+    assert failure.value.reason == "malformed tree: graph with 300 vertices is not connected"
+    assert_same_outcome(doc)
+
+
+@pytest.mark.parametrize("key, reason", [("n2", "degree-2 count mismatch"), ("total_rounds", "round count mismatch")])
+def test_order_2_arrays_check_their_claims(key, reason):
+    doc = certificate(2, 0, lambda n, seed: gen_path(n))
+    doc[key] += 1
+    with pytest.raises(VerificationFailure) as failure:
+        verify_document(doc)
+    assert failure.value.reason == reason
+    assert_same_outcome(doc)
+
+
+@pytest.mark.parametrize("sequence", [[], None, "0", [0, 0]], ids=["empty", "null", "string", "repeat"])
+def test_a_malformed_sequence_on_a_parent_array(sequence):
+    doc = certificate(50, 2)
+    doc["sequence"] = sequence
+    with pytest.raises(VerificationFailure, match="^malformed sequence: "):
+        verify_document(doc)
     assert_same_outcome(doc)
