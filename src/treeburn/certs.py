@@ -5,8 +5,10 @@ schema 4, as an edge list before), the burning sequence, the claimed labeling,
 and the bound values.  verify_document() derives everything from the
 embedded tree and sequence alone, so a certificate stands or falls
 regardless of who produced it.  It takes one route: the tree is proved
-once, each claim is checked once, and the sequence is re-simulated only
-when the claimed labels cannot prove it valid.
+once, as a parent array rooted at vertex 0, each claim is checked once,
+and one check, the labels lemma (_labels_proved), accepts the claimed
+labels for every schema and order.  A sequence is burned only to word why
+a certificate is refused.
 """
 
 from __future__ import annotations
@@ -73,15 +75,14 @@ class VerificationFailure(Exception):
         self.reason = reason
 
 
-def _tree_from_doc(doc: dict) -> tuple[int, Optional[list[int]], Optional[list[list[int]]]]:
-    """The embedded tree's degree-2 count, and either its parent array,
-    proved a tree by pointer doubling (_child_counts), or else its neighbor
-    lists, unsorted.  Those come from graphs._tree_lists, the one tree
-    check cli.parse_edge_list also runs, which proves n - 1 edges a tree by
-    one loop and one BFS: a schema 1-3 edge list, or the edges (v,
-    parent[v]) of a parent array of order 1 or 2 or one the doubling
-    refuses.  On a fault, build_graph and as_tree raise, so a reason names
-    the first fault they meet."""
+def _tree_from_doc(doc: dict) -> tuple[int, list[int]]:
+    """The embedded tree's degree-2 count and a parent array rooting it at
+    vertex 0: the stored one when pointer doubling (_child_counts) proves
+    it a tree, else the parent array of graphs._tree_lists' BFS, the one
+    tree check cli.parse_edge_list also runs, which proves n - 1 edges a
+    tree by one loop and one BFS: a schema 1-3 edge list, or the edges (v,
+    parent[v]) of an array the doubling refuses.  On a fault, build_graph
+    and as_tree raise, so a reason names the first fault they meet."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     if "parent" in tree_obj:
@@ -101,14 +102,9 @@ def _tree_from_doc(doc: dict) -> tuple[int, Optional[list[int]], Optional[list[l
             raise TypeError(f"parent {parent[v]!r} of vertex {v} is not an integer")
         if parent[0] != -1:
             raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
-        # below 3 vertices _labels_proved's itemgetter would get one index,
-        # and return the item, not a tuple
-        children = _child_counts(parent) if n >= 3 else None
-        if children is not None:
-            # a vertex other than 0 has degree 2 with one child, 0 with two
-            ones = list(children.values()).count(1)
-            return ones - (children[0] == 1) + (children[0] == 2), parent, None
-        edges = list(zip(range(1, n), parent[1:]))
+        children = _child_counts(parent)
+        if children is None:
+            edges = list(zip(range(1, n), parent[1:]))
     else:
         edges = tree_obj["edges"]
         # Checked before anything is allocated in proportion to n.
@@ -120,19 +116,24 @@ def _tree_from_doc(doc: dict) -> tuple[int, Optional[list[int]], Optional[list[l
             pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
             if not pair:
                 raise TypeError(f"edge {e!r} is not a pair of integers")
-    proof = _tree_lists(n, edges)
-    adj = proof[0] if proof is not None else as_tree(build_graph(n, edges)).adjacency
-    return sum(1 for a in adj if len(a) == 2), None, adj
+        children = None
+    if children is None:
+        proof = _tree_lists(n, edges)
+        parent = proof[2] if proof is not None else as_tree(build_graph(n, edges)).parent
+        children = Counter(parent[1:])
+    # a vertex other than 0 has degree 2 with one child, 0 with two
+    ones = list(children.values()).count(1)
+    return ones - (children[0] == 1) + (children[0] == 2), parent
 
 
 def _child_counts(parent: list[int]) -> Optional[Counter]:
-    """Every vertex's child count when the parent array, of at least 3
-    integer entries with parent[0] == -1, is a tree rooted at 0, else None.
-    With P(0) := 0, it is one iff P^(2^r) maps every vertex to 0 for
-    2^r >= n; pointer doubling computes P^2, P^4, ... by C-level passes."""
+    """Every vertex's child count when the parent array, of integer entries
+    with parent[0] == -1, is a tree rooted at 0, else None.  With P(0) :=
+    0, it is one iff P^(2^r) maps every vertex to 0 for 2^r >= n; pointer
+    doubling computes P^2, P^4, ... by C-level passes."""
     up = parent[1:]
     children = Counter(up)
-    if min(children) < 0 or max(children) >= len(parent):
+    if min(children, default=0) < 0 or max(children, default=0) >= len(parent):
         return None  # a -1 would index from the end
     anc = [0, *up]
     for _ in range(len(parent).bit_length()):
@@ -144,9 +145,9 @@ def _child_counts(parent: list[int]) -> Optional[Counter]:
 
 def _labels_proved(parent: list[int], stored, seq: tuple[int, ...]) -> bool:
     """Whether the claimed labels stored are the process's labels for seq,
-    a nonempty sequence of distinct integers, on the tree parent is proved
-    to be (_child_counts), with seq valid.  Every check is a C-level pass:
-    no neighbor lists, no burn.
+    a nonempty sequence of distinct integers, on the tree parent roots at
+    vertex 0 (_tree_from_doc), of any order, with seq valid.  Every check
+    is a C-level pass: no neighbor lists, no burn.
 
     Claimed labels C are the process labels L(x) = min_i (i + d(x, s_i))
     iff C(s_i) = i, |C(x) - C(parent[x])| <= 1 on every edge, and every
@@ -154,7 +155,9 @@ def _labels_proved(parent: list[int], stored, seq: tuple[int, ...]) -> bool:
     two; following neighbors labelled one less from x ends at some s_i
     after C(x) - i steps, so C >= L).  The sequence is then valid iff
     max C = k: each s_i burns in round i, so it was unburned at the start
-    of that round, and the last vertex burns in round k.
+    of that round, and the last vertex burns in round k.  So this is the
+    one check that accepts labels: a valid sequence's true labels, all of
+    type int, always pass it, and nothing else does.
     """
     n = len(parent)
     if type(stored) is not dict or len(stored) != n or min(seq) < 0 or max(seq) >= n:
@@ -164,7 +167,10 @@ def _labels_proved(parent: list[int], stored, seq: tuple[int, ...]) -> bool:
         return False
     k = len(seq)
     up = parent[1:]
-    below, above = labels[1:], itemgetter(*up)(labels)  # each edge's two ends
+    # each edge's two ends; itemgetter of one index would return the item,
+    # not a tuple, but below 3 vertices every parent is 0
+    below = labels[1:]
+    above = itemgetter(*up)(labels) if n > 2 else labels[:1] * len(up)
     if (
         list(map(labels.__getitem__, seq)) != list(range(1, k + 1))
         or max(labels) != k
@@ -187,23 +193,24 @@ def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence, on one
     route that reads each part of the document once, in this order.
 
-    The tree (_tree_from_doc): its shape, then its proof, which gives n2.
-    The claims n, n2, m and target, then the sequence and its length.  The
-    labels: _labels_proved accepts the claimed labels of a parent array
-    proved by doubling; otherwise the sequence is burned, strictly, on the
-    tree's neighbor lists, built now if the doubling proved it, and the
-    claimed labels are compared with the burn's.  Then total_rounds and the
-    bound table.  No Tree is built for a valid certificate.
+    The tree (_tree_from_doc): its shape, then its proof, which gives a
+    parent array and n2.  The claims n, n2, m and target, then the
+    sequence and its length.  The labels: _labels_proved alone accepts
+    them, for every layout and order.  When it refuses, the sequence is
+    burned, strictly, only to word the refusal: an invalid sequence, or
+    else labels that are not its labels.  Then total_rounds and the bound
+    table.  No Tree is built and nothing is burned for a valid
+    certificate.
     Returns a summary dict on success; raises VerificationFailure with a
     machine-readable reason, worded where the fault is found, otherwise.
     Stored labels and bound values are treated as claims to check, never
     as inputs, and a bool never passes for an integer claim.
     """
     try:
-        n2, parent, adj = _tree_from_doc(doc)
+        n2, parent = _tree_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
-    n = len(adj if parent is None else parent)
+    n = len(parent)
     bounds = bound_table(n, n2)
     target = bounds.refined
     _check_claim(doc, "n", n, "order")
@@ -220,29 +227,15 @@ def verify_document(doc: dict) -> dict:
     k = len(seq)
     if k > target:
         raise VerificationFailure("sequence longer than target")
-    stored = doc.get("labels")
-    if parent is None or not _labels_proved(parent, stored, seq):
-        if adj is None:  # proved a tree by the doubling, so _tree_lists proves it
-            adj = _tree_lists(n, zip(range(1, n), parent[1:]))[0]
+    if not _labels_proved(parent, doc.get("labels"), seq):
         try:
-            kept, labels = _burn(adj, seq, strict=True)
+            kept, _ = _burn(_tree_lists(n, zip(range(1, n), parent[1:]))[0], seq, strict=True)
             if len(kept) != k:
                 raise LengthMismatch(len(kept))
         except ValueError as exc:
             raise VerificationFailure(f"invalid sequence: {exc}") from exc
-        keys = _keys(n)
-        # n entries, one at each key str(v), hold exactly the keys 0..n-1.
-        # Only the first source burns in round 1, so once the values are
-        # equal a bool (True == 1) can sit nowhere else; one float (2.0 ==
-        # 2) anywhere makes the sum a float.
-        if (
-            type(stored) is not dict
-            or len(stored) != n
-            or list(map(stored.get, keys[:n])) != labels
-            or type(stored[keys[seq[0]]]) is not int
-            or type(sum(stored.values())) is not int
-        ):
-            raise VerificationFailure("labels mismatch")
+        # the sequence is valid, so its true labels would have passed
+        raise VerificationFailure("labels mismatch")
     # The process ends in its last source's round.
     _check_claim(doc, "total_rounds", k, "round count")
     expected = bounds.as_dict()

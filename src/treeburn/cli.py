@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="re-check a certificate by simulation")
+    p = sub.add_parser("verify", help="re-derive every claim of a certificate from its tree and sequence")
     p.add_argument("cert", help="certificate JSON file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -531,13 +531,6 @@ def outcome(verify, doc):
         return failure.reason
 
 
-def checked_outcome(doc):
-    """verify_document's outcome with the labels lemma turned off, so that
-    every sequence is burned."""
-    with mock.patch.object(certs, "_labels_proved", lambda *args: False):
-        return outcome(verify_document, doc)
-
-
 class Needed(Exception):
     """Raised by a stand-in for a function the labels lemma makes needless."""
 
@@ -564,12 +557,11 @@ def proved_by_labels(doc):
 
 
 def assert_same_outcome(doc):
-    """verify_document, its checked route alone and the reference give the
-    same reason or summary, and where the labels lemma accepts alone, its
-    summary is theirs."""
+    """verify_document and the reference give the same reason or summary,
+    and where the labels lemma accepts with neither a burn nor neighbor
+    lists, its summary is theirs."""
     expected = outcome(reference_verify_document, doc)
     assert outcome(verify_document, doc) == expected
-    assert checked_outcome(doc) == expected
     summary = proved_by_labels(doc)
     assert summary is None or summary == expected
 
@@ -718,11 +710,12 @@ def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
 
 
 # ---------------------------------------------------------------------------
-# The labels lemma: a parent array proved a tree by pointer doubling is
-# accepted from its claimed labels, with no neighbor lists and no burn
-# (proved_by_labels); any other document is burned.  assert_same_outcome
-# above compares verify_document with and without the lemma on every
-# fuzzed, malformed and edited document.
+# The labels lemma is the one check that accepts labels: a valid
+# certificate of any schema and order is accepted with no burn, and a
+# parent array with no neighbor lists either (proved_by_labels).  A
+# refused document is burned once, only to word its reason.
+# assert_same_outcome above compares verify_document with the reference on
+# every fuzzed, malformed and edited document.
 # ---------------------------------------------------------------------------
 
 SHAPES = {
@@ -741,7 +734,7 @@ def test_seeded_valid_certificates_are_accepted_in_bulk():
         doc = certificate(3 + rng.below(400), i, generators[i % 3])
         summary = proved_by_labels(doc)
         assert summary is not None and summary["ok"] is True
-        assert summary == checked_outcome(doc) == reference_verify_document(doc)
+        assert summary == reference_verify_document(doc)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -761,11 +754,12 @@ def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
         (certs, "build_graph"), (graphs, "build_graph"), (certs, "as_tree"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    summary = verify_document(doc)
+    assert verify_document(doc)["ok"] is True
     assert calls == []
     monkeypatch.setattr(certs, "_labels_proved", lambda *args: False)
-    assert verify_document(doc) == summary
-    assert "_burn" in calls and "_tree_lists" in calls
+    with pytest.raises(VerificationFailure, match="^labels mismatch$"):
+        verify_document(doc)
+    assert calls == ["_tree_lists", "_burn"]
 
 
 def true_labels(tree, seq) -> list[int]:
@@ -794,7 +788,7 @@ def claimed_document(tree, seq, labels) -> dict:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    trees(min_n=3, max_n=40),
+    trees(min_n=1, max_n=40),
     st.sampled_from(["construct", "schedule", "random"]),
     st.sampled_from(["true", "plus-one", "minus-one", "subtree"]),
     st.randoms(use_true_random=False),
@@ -844,9 +838,8 @@ def test_paths_rooted_at_an_end_are_accepted(depth):
     doc = certificate(depth + 1, 0, lambda n, seed: gen_path(n))
     assert doc["tree"]["parent"] == [-1, *range(depth)]
     summary = proved_by_labels(doc)
-    if depth >= 2:
-        assert summary is not None
-    assert verify_document(doc) == checked_outcome(doc) == reference_verify_document(doc)
+    assert summary is not None
+    assert summary == reference_verify_document(doc)
 
 
 @pytest.mark.parametrize("leaves", [(48, 0), (0, 48)], ids=["at-the-center", "at-a-leaf"])
@@ -856,18 +849,41 @@ def test_stars_are_accepted(leaves):
     doc = certificate(50, 0, lambda n, seed: gen_double_star(*leaves))
     summary = proved_by_labels(doc)
     assert summary is not None
-    assert summary == checked_outcome(doc) == reference_verify_document(doc)
+    assert summary == reference_verify_document(doc)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_orders_below_3_take_the_checked_route(n):
-    """itemgetter of one index returns the item, not a tuple, so these
-    orders are proved a tree by graphs._tree_lists and burned, and
-    accepted."""
+def test_orders_below_3_are_proved_by_labels(n):
+    """Pointer doubling proves these parent arrays, whose child counts may
+    be empty, and the lemma accepts their labels: every parent is 0, so
+    no edge needs a one-index itemgetter."""
     doc = certificate(n, 0, lambda n, seed: gen_path(n))
-    assert proved_by_labels(doc) is None
-    assert verify_document(doc) == reference_verify_document(doc)
-    assert verify_document(doc)["ok"] is True
+    summary = proved_by_labels(doc)
+    assert summary is not None and summary["ok"] is True
+    assert summary == reference_verify_document(doc)
+
+
+def schema3_edge_documents():
+    yield "schema3-file", json.loads(SCHEMA3_CERT.read_text(encoding="utf-8"))
+    for i, doc in enumerate(TREE_BASES + (certificate(1, 0), certificate(2, 0))):
+        yield f"base-{i}", edges_layout(doc)
+    rng = SplitMix64(2026)
+    generators = (gen_random_tree, gen_random_no_deg2, lambda n, seed: gen_path(n))
+    for i in range(30):
+        yield f"seeded-{i}", edges_layout(certificate(1 + rng.below(400), i, generators[i % 3]))
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=name) for name, doc in schema3_edge_documents()]
+)
+def test_edge_lists_are_accepted_without_a_burn(doc):
+    """The parent array of graphs._tree_lists' BFS carries an edge list to
+    the lemma, so a valid schema 1-3 certificate is never burned."""
+    assert "edges" in doc["tree"]
+    with mock.patch.object(certs, "_burn", side_effect=Needed):
+        summary = verify_document(doc)
+    assert summary["ok"] is True
+    assert summary == reference_verify_document(doc)
 
 
 BULK_BASES = {
@@ -996,6 +1012,34 @@ def test_a_refused_certificate_is_read_once(monkeypatch, edit, reason):
     assert lines_run(refuse, "len(parent) != n") == 1
     assert tables == [(300, dict.get(doc, "n2"))]
     assert sorted(doc.reads) == sorted(set(doc.reads))
+
+
+def invalid_sequence(doc):
+    """The first source alone: the process outlives it."""
+    doc["sequence"] = doc["sequence"][:1]
+
+
+@pytest.mark.parametrize("layout", [dict, edges_layout], ids=["parent", "edges"])
+@pytest.mark.parametrize(
+    "edit, reason",
+    [(edit_label, "labels mismatch"), (invalid_sequence, "invalid sequence: process terminated in ")],
+    ids=["raised-label", "invalid-sequence"],
+)
+def test_a_refusal_is_worded_by_one_burn(monkeypatch, layout, edit, reason):
+    doc = layout(certificate(60, 2))
+    edit(doc)
+    burns = []
+
+    def counted(*args, **kwargs):
+        burns.append(args[1])
+        return engine._burn(*args, **kwargs)
+
+    monkeypatch.setattr(certs, "_burn", counted)
+    with pytest.raises(VerificationFailure) as failure:
+        verify_document(doc)
+    assert failure.value.reason.startswith(reason)
+    assert burns == [tuple(doc["sequence"])]
+    assert_same_outcome(doc)
 
 
 def claim_edited(key, value) -> dict:
