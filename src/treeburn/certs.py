@@ -5,25 +5,23 @@ schema 4, as an edge list before), the burning sequence, the claimed labeling,
 and the bound values.  verify_document() derives everything from the
 embedded tree and sequence alone, so a certificate stands or falls
 regardless of who produced it.  It takes one route: the tree is proved
-once, as a parent array rooted at vertex 0, each claim is checked once,
-and one check, the labels lemma (_labels_proved), accepts the claimed
-labels for every schema and order.  A sequence is burned only to word why
-a certificate is refused.
+once, by one BFS from vertex 0, the process labels are computed by two
+passes over that BFS order, and each claim is checked once against what
+was computed.  Nothing is burned: the verifier shares no round loop with
+the producer it checks.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from itertools import compress
-from operator import gt, itemgetter, lt, sub
+from itertools import takewhile
 from typing import Optional
 
 from . import __version__
 from .bounds import bound_table
 from .construct import BoundCertificate
-from .engine import BurningSequence, _burn
-from .errors import LengthMismatch
+from .engine import BurningSequence
+from .errors import LengthMismatch, SourceAlreadyBurned, VertexOutOfRange
 from .graphs import _tree_lists, as_tree, build_graph
 
 SCHEMA_VERSION = "4"
@@ -75,14 +73,15 @@ class VerificationFailure(Exception):
         self.reason = reason
 
 
-def _tree_from_doc(doc: dict) -> tuple[int, list[int]]:
-    """The embedded tree's degree-2 count and a parent array rooting it at
-    vertex 0: the stored one when pointer doubling (_child_counts) proves
-    it a tree, else the parent array of graphs._tree_lists' BFS, the one
-    tree check cli.parse_edge_list also runs, which proves n - 1 edges a
-    tree by one loop and one BFS: a schema 1-3 edge list, or the edges (v,
-    parent[v]) of an array the doubling refuses.  On a fault, build_graph
-    and as_tree raise, so a reason names the first fault they meet."""
+def _tree_from_doc(doc: dict) -> tuple[int, list[int], list[int]]:
+    """The embedded tree's degree-2 count, and the order and parent array of
+    a BFS from vertex 0.  A parent array is a tree iff its children lists
+    take one BFS from 0 to all n vertices: each vertex but 0 is some
+    vertex's child once, so nothing is reached twice, and a cycle that
+    avoids 0 is never reached.  An edge list is proved by
+    graphs._tree_lists, the one tree check cli.parse_edge_list also runs.
+    On a fault, build_graph and as_tree raise on the tree's edges, so a
+    reason names the first fault they meet, in the same words for both."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     if "parent" in tree_obj:
@@ -102,9 +101,19 @@ def _tree_from_doc(doc: dict) -> tuple[int, list[int]]:
             raise TypeError(f"parent {parent[v]!r} of vertex {v} is not an integer")
         if parent[0] != -1:
             raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
-        children = _child_counts(parent)
-        if children is None:
-            edges = list(zip(range(1, n), parent[1:]))
+        up = parent[1:]
+        if min(up, default=0) >= 0 and max(up, default=0) < n:  # a -1 would index from the end
+            children: list[list[int]] = [[] for _ in parent]
+            for v, p in enumerate(up, 1):
+                children[p].append(v)
+            order = [0]
+            for u in order:
+                order.extend(children[u])
+            if len(order) == n:
+                degrees = list(map(len, children))
+                degrees[0] -= 1  # each now one less than its vertex's degree
+                return degrees.count(1), order, parent
+        edges = list(zip(range(1, n), up))
     else:
         edges = tree_obj["edges"]
         # Checked before anything is allocated in proportion to n.
@@ -116,71 +125,33 @@ def _tree_from_doc(doc: dict) -> tuple[int, list[int]]:
             pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
             if not pair:
                 raise TypeError(f"edge {e!r} is not a pair of integers")
-        children = None
-    if children is None:
         proof = _tree_lists(n, edges)
-        parent = proof[2] if proof is not None else as_tree(build_graph(n, edges)).parent
-        children = Counter(parent[1:])
-    # a vertex other than 0 has degree 2 with one child, 0 with two
-    ones = list(children.values()).count(1)
-    return ones - (children[0] == 1) + (children[0] == 2), parent
+        if proof is not None:
+            adj, order, parent = proof
+            return list(map(len, adj)).count(2), order, parent
+    as_tree(build_graph(n, edges))  # raises: these n - 1 edges are no tree
+    raise AssertionError("as_tree accepted edges its BFS refused")
 
 
-def _child_counts(parent: list[int]) -> Optional[Counter]:
-    """Every vertex's child count when the parent array, of integer entries
-    with parent[0] == -1, is a tree rooted at 0, else None.  With P(0) :=
-    0, it is one iff P^(2^r) maps every vertex to 0 for 2^r >= n; pointer
-    doubling computes P^2, P^4, ... by C-level passes."""
-    up = parent[1:]
-    children = Counter(up)
-    if min(children, default=0) < 0 or max(children, default=0) >= len(parent):
-        return None  # a -1 would index from the end
-    anc = [0, *up]
-    for _ in range(len(parent).bit_length()):
-        if not any(anc):
-            return children
-        anc = itemgetter(*anc)(anc)
-    return None if any(anc) else children  # a cycle that avoids vertex 0
-
-
-def _labels_proved(parent: list[int], stored, seq: tuple[int, ...]) -> bool:
-    """Whether the claimed labels stored are the process's labels for seq,
-    a nonempty sequence of distinct integers, on the tree parent roots at
-    vertex 0 (_tree_from_doc), of any order, with seq valid.  Every check
-    is a C-level pass: no neighbor lists, no burn.
-
-    Claimed labels C are the process labels L(x) = min_i (i + d(x, s_i))
-    iff C(s_i) = i, |C(x) - C(parent[x])| <= 1 on every edge, and every
-    vertex but a source has a neighbor labelled C - 1 (C <= L by the first
-    two; following neighbors labelled one less from x ends at some s_i
-    after C(x) - i steps, so C >= L).  The sequence is then valid iff
-    max C = k: each s_i burns in round i, so it was unburned at the start
-    of that round, and the last vertex burns in round k.  So this is the
-    one check that accepts labels: a valid sequence's true labels, all of
-    type int, always pass it, and nothing else does.
-    """
+def _labels(order: list[int], parent: list[int], seq: tuple[int, ...]) -> list[int]:
+    """The process labels L(x) = min over i of (i + d(x, s_i)) on the tree
+    that order, a BFS order from vertex 0, and parent root, over the sources
+    of seq before its first one outside 0..n-1 (n + 1 everywhere when there
+    are none): one pass from the leaves up, one from the root down."""
     n = len(parent)
-    if type(stored) is not dict or len(stored) != n or min(seq) < 0 or max(seq) >= n:
-        return False
-    labels = list(map(stored.get, _keys(n)[:n]))
-    if set(map(type, labels)) != {int}:
-        return False
-    k = len(seq)
-    up = parent[1:]
-    # each edge's two ends; itemgetter of one index would return the item,
-    # not a tuple, but below 3 vertices every parent is 0
-    below = labels[1:]
-    above = itemgetter(*up)(labels) if n > 2 else labels[:1] * len(up)
-    if (
-        list(map(labels.__getitem__, seq)) != list(range(1, k + 1))
-        or max(labels) != k
-        or not set(map(sub, below, above)) <= {-1, 0, 1}
-    ):
-        return False
-    down = set(seq)  # the vertices with a neighbor labelled one less
-    down.update(compress(range(1, n), map(gt, below, above)))
-    down.update(compress(up, map(lt, below, above)))
-    return len(down) == n
+    labels = [n + 1] * n
+    for i, s in enumerate(takewhile(range(n).__contains__, seq), 1):
+        labels[s] = i
+    below = order[:0:-1]
+    for x in below:
+        p = parent[x]
+        if labels[x] < labels[p] - 1:
+            labels[p] = labels[x] + 1
+    for x in reversed(below):
+        above = labels[parent[x]] + 1
+        if above < labels[x]:
+            labels[x] = above
+    return labels
 
 
 def _check_claim(doc: dict, key: str, value: int, what: str) -> None:
@@ -193,13 +164,13 @@ def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence, on one
     route that reads each part of the document once, in this order.
 
-    The tree (_tree_from_doc): its shape, then its proof, which gives a
-    parent array and n2.  The claims n, n2, m and target, then the
-    sequence and its length.  The labels: _labels_proved alone accepts
-    them, for every layout and order.  When it refuses, the sequence is
-    burned, strictly, only to word the refusal: an invalid sequence, or
-    else labels that are not its labels.  Then total_rounds and the bound
-    table.  No Tree is built and nothing is burned for a valid
+    The tree (_tree_from_doc): its shape, then its proof, one BFS from
+    vertex 0, which gives n2, a BFS order and a parent array.  The claims
+    n, n2, m and target, then the sequence and its length.  Then the
+    process labels, computed by two passes over that rooting (_labels): the
+    sequence is read from them in the strict burn's words (engine._burn,
+    which no route here calls), and the stored labels must equal them.
+    Then total_rounds and the bound table.  No Tree is built for a valid
     certificate.
     Returns a summary dict on success; raises VerificationFailure with a
     machine-readable reason, worded where the fault is found, otherwise.
@@ -207,7 +178,7 @@ def verify_document(doc: dict) -> dict:
     as inputs, and a bool never passes for an integer claim.
     """
     try:
-        n2, parent = _tree_from_doc(doc)
+        n2, order, parent = _tree_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
     n = len(parent)
@@ -227,14 +198,27 @@ def verify_document(doc: dict) -> dict:
     k = len(seq)
     if k > target:
         raise VerificationFailure("sequence longer than target")
-    if not _labels_proved(parent, doc.get("labels"), seq):
-        try:
-            kept, _ = _burn(_tree_lists(n, zip(range(1, n), parent[1:]))[0], seq, strict=True)
-            if len(kept) != k:
-                raise LengthMismatch(len(kept))
-        except ValueError as exc:
-            raise VerificationFailure(f"invalid sequence: {exc}") from exc
-        # the sequence is valid, so its true labels would have passed
+    labels = _labels(order, parent, seq)
+    last = max(labels)  # the round the counted sources' process ends in
+    try:
+        for i, s in enumerate(seq, 1):
+            if not 0 <= s < n:  # _labels counted only the sources before it
+                if last >= i:
+                    raise VertexOutOfRange(f"source {s} is not a vertex")
+                raise SourceAlreadyBurned(i, s)
+            if labels[s] < i:
+                raise SourceAlreadyBurned(i, s)
+        if last != k:
+            raise LengthMismatch(last)
+    except ValueError as exc:
+        raise VerificationFailure(f"invalid sequence: {exc}") from exc
+    stored = doc.get("labels")
+    if (
+        type(stored) is not dict
+        or len(stored) != n
+        or list(map(stored.get, _keys(n)[:n])) != labels
+        or set(map(type, stored.values())) != {int}
+    ):
         raise VerificationFailure("labels mismatch")
     # The process ends in its last source's round.
     _check_claim(doc, "total_rounds", k, "round count")

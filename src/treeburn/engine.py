@@ -60,9 +60,9 @@ def _burn(
     strict: bool,
 ) -> tuple[list[Optional[int]], list[int]]:
     """The round loop shared by simulate, greedy_schedule, canonicalize,
-    _transport, construct's innermost tree and the certificate verifier:
-    run the process on adjacency until every vertex burns.  Neighbor order
-    does not change a vertex's round, so adjacency need not be sorted.
+    _transport and construct's innermost tree: run the process on
+    adjacency until every vertex burns.  Neighbor order does not change a
+    vertex's round, so adjacency need not be sorted.
 
     A source burned at the start of its round raises SourceAlreadyBurned
     when strict, and is demoted to an empty round otherwise; when strict, so

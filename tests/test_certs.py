@@ -532,17 +532,28 @@ def outcome(verify, doc):
 
 
 class Needed(Exception):
-    """Raised by a stand-in for a function the labels lemma makes needless."""
+    """Raised by a stand-in for a function verify_document never needs."""
+
+
+def needed(*args, **kwargs):
+    raise Needed
+
+
+@contextlib.contextmanager
+def no_burn():
+    """engine._burn raises Needed while it is open, also under any name
+    certs holds it by."""
+    names = [name for name, value in vars(certs).items() if value is engine._burn]
+    with contextlib.ExitStack() as stack:
+        for module, name in [(engine, "_burn"), *((certs, name) for name in names)]:
+            stack.enter_context(mock.patch.object(module, name, needed))
+        yield
 
 
 @contextlib.contextmanager
 def neither_burn_nor_lists():
-    """certs._burn and certs._tree_lists raise Needed while it is open."""
-
-    def needed(*args):
-        raise Needed
-
-    with mock.patch.object(certs, "_burn", needed), mock.patch.object(certs, "_tree_lists", needed):
+    """no_burn, and certs._tree_lists raises Needed too."""
+    with no_burn(), mock.patch.object(certs, "_tree_lists", needed):
         yield
 
 
@@ -557,11 +568,13 @@ def proved_by_labels(doc):
 
 
 def assert_same_outcome(doc):
-    """verify_document and the reference give the same reason or summary,
-    and where the labels lemma accepts with neither a burn nor neighbor
-    lists, its summary is theirs."""
+    """verify_document, with engine._burn raising, and the reference give
+    the same reason or summary, and where verify_document accepts with
+    neither a burn nor neighbor lists, its summary is theirs.  The
+    reference runs first: it burns, through validate_sequence."""
     expected = outcome(reference_verify_document, doc)
-    assert outcome(verify_document, doc) == expected
+    with no_burn():
+        assert outcome(verify_document, doc) == expected
     summary = proved_by_labels(doc)
     assert summary is None or summary == expected
 
@@ -710,12 +723,12 @@ def test_equal_value_of_another_type_fails(tmp_path, base, path, new):
 
 
 # ---------------------------------------------------------------------------
-# The labels lemma is the one check that accepts labels: a valid
-# certificate of any schema and order is accepted with no burn, and a
-# parent array with no neighbor lists either (proved_by_labels).  A
-# refused document is burned once, only to word its reason.
-# assert_same_outcome above compares verify_document with the reference on
-# every fuzzed, malformed and edited document.
+# verify_document computes the process labels by two passes over the tree's
+# rooting and reads the sequence's reason from them: no certificate of any
+# schema and order, accepted or refused, is burned, and a parent array builds
+# no neighbor lists either (proved_by_labels).  assert_same_outcome above
+# compares verify_document, with engine._burn raising, with the reference
+# on every fuzzed, malformed and edited document.
 # ---------------------------------------------------------------------------
 
 SHAPES = {
@@ -740,7 +753,12 @@ def test_seeded_valid_certificates_are_accepted_in_bulk():
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("n", [3, 4, 9, 100, 1600])
 def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
+    """A valid certificate, and the same one with a label raised, are
+    decided with no burn, no Tree and, as a parent array, no neighbor
+    lists; as an edge list, with the one _tree_lists of its proof."""
     doc = certificate(n, n, SHAPES[shape])
+    raised = copy.deepcopy(doc)
+    edit_label(raised)
     calls = []
 
     def counted(name, fn):
@@ -750,16 +768,19 @@ def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
         return wrapper
 
     for module, name in [
-        (certs, "_burn"), (engine, "_burn"), (certs, "_tree_lists"), (graphs, "_tree_lists"),
+        (certs, "_tree_lists"), (graphs, "_tree_lists"),
         (certs, "build_graph"), (graphs, "build_graph"), (certs, "as_tree"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    assert verify_document(doc)["ok"] is True
-    assert calls == []
-    monkeypatch.setattr(certs, "_labels_proved", lambda *args: False)
-    with pytest.raises(VerificationFailure, match="^labels mismatch$"):
-        verify_document(doc)
-    assert calls == ["_tree_lists", "_burn"]
+    for layout, lists in [(dict, []), (edges_layout, ["_tree_lists"])]:
+        with no_burn():
+            assert verify_document(layout(doc))["ok"] is True
+            assert calls == lists
+            calls.clear()
+            with pytest.raises(VerificationFailure, match="^labels mismatch$"):
+                verify_document(layout(raised))
+            assert calls == lists
+            calls.clear()
 
 
 def true_labels(tree, seq) -> list[int]:
@@ -833,8 +854,9 @@ DEPTHS = sorted({d for j in range(1, 12) for d in (2**j - 1, 2**j, 2**j + 1)})
 
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_paths_rooted_at_an_end_are_accepted(depth):
-    """Pointer doubling needs ceil(log2(depth + 1)) rounds on a path of
-    this depth; these depths sit on either side of each power of two."""
+    """The deepest trees of their order: one child per BFS step.  These
+    depths sit on either side of each power of two, where an earlier
+    proof by pointer doubling changed its number of rounds."""
     doc = certificate(depth + 1, 0, lambda n, seed: gen_path(n))
     assert doc["tree"]["parent"] == [-1, *range(depth)]
     summary = proved_by_labels(doc)
@@ -854,9 +876,8 @@ def test_stars_are_accepted(leaves):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_orders_below_3_are_proved_by_labels(n):
-    """Pointer doubling proves these parent arrays, whose child counts may
-    be empty, and the lemma accepts their labels: every parent is 0, so
-    no edge needs a one-index itemgetter."""
+    """The children lists' BFS proves these parent arrays, one of which
+    has no entry below the root, and the computed labels accept theirs."""
     doc = certificate(n, 0, lambda n, seed: gen_path(n))
     summary = proved_by_labels(doc)
     assert summary is not None and summary["ok"] is True
@@ -877,13 +898,15 @@ def schema3_edge_documents():
     "doc", [pytest.param(doc, id=name) for name, doc in schema3_edge_documents()]
 )
 def test_edge_lists_are_accepted_without_a_burn(doc):
-    """The parent array of graphs._tree_lists' BFS carries an edge list to
-    the lemma, so a valid schema 1-3 certificate is never burned."""
+    """The order and parent array of graphs._tree_lists' BFS carry an edge
+    list to the labels' two passes, so a valid schema 1-3 certificate is
+    never burned."""
     assert "edges" in doc["tree"]
-    with mock.patch.object(certs, "_burn", side_effect=Needed):
+    expected = reference_verify_document(doc)  # it burns
+    with no_burn():
         summary = verify_document(doc)
     assert summary["ok"] is True
-    assert summary == reference_verify_document(doc)
+    assert summary == expected
 
 
 BULK_BASES = {
@@ -938,8 +961,8 @@ def test_malformed_parents_far_from_0_keep_their_reasons(base, edit, reason):
 
 # ---------------------------------------------------------------------------
 # One route: the tree's shape is checked once, the bound table built once
-# and each claim read once, whether the labels lemma or the burn settles the
-# labels, and every check after the labels runs on either.
+# and each claim read once, and every check after the labels runs whether
+# the labels are stored right or not.
 # ---------------------------------------------------------------------------
 
 
@@ -1025,20 +1048,90 @@ def invalid_sequence(doc):
     [(edit_label, "labels mismatch"), (invalid_sequence, "invalid sequence: process terminated in ")],
     ids=["raised-label", "invalid-sequence"],
 )
-def test_a_refusal_is_worded_by_one_burn(monkeypatch, layout, edit, reason):
+def test_a_refusal_is_worded_without_a_burn(layout, edit, reason):
     doc = layout(certificate(60, 2))
     edit(doc)
-    burns = []
-
-    def counted(*args, **kwargs):
-        burns.append(args[1])
-        return engine._burn(*args, **kwargs)
-
-    monkeypatch.setattr(certs, "_burn", counted)
-    with pytest.raises(VerificationFailure) as failure:
+    with no_burn(), pytest.raises(VerificationFailure) as failure:
         verify_document(doc)
     assert failure.value.reason.startswith(reason)
-    assert burns == [tuple(doc["sequence"])]
+    assert_same_outcome(doc)
+
+
+def test_a_refused_edge_list_builds_its_lists_once(monkeypatch):
+    doc = edges_layout(certificate(60, 2))
+    edit_label(doc)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return graphs._tree_lists(*args)
+
+    monkeypatch.setattr(certs, "_tree_lists", counted)
+    with pytest.raises(VerificationFailure, match="^labels mismatch$"):
+        verify_document(doc)
+    assert calls == [60]
+
+
+def sequence_edited(edit):
+    """certificate(60, 2), sequence [57, 6, 33, 39, 8, 11, 5, 43] of
+    target 9, with edit(sequence, parent) applied."""
+
+    def edited():
+        doc = certificate(60, 2)
+        edit(doc["sequence"], doc["tree"]["parent"])
+        return doc
+
+    return edited
+
+
+@pytest.mark.parametrize("layout", [dict, edges_layout], ids=["parent", "edges"])
+@pytest.mark.parametrize(
+    "edited, reason",
+    [
+        (sequence_edited(lambda s, p: s.__setitem__(-1, 60)), "source 60 is not a vertex"),
+        (sequence_edited(lambda s, p: s.__setitem__(-1, -1)), "source -1 is not a vertex"),
+        # the process still runs in round 2 of [57, 60]
+        (sequence_edited(lambda s, p: s.__setitem__(slice(1, None), [60])), "source 60 is not a vertex"),
+        (sequence_edited(lambda s, p: s.append(60)), "source 60 already burned at start of round 9"),
+        (sequence_edited(lambda s, p: s.append(-1)), "source -1 already burned at start of round 9"),
+        (sequence_edited(lambda s, p: s.append(0)), "source 0 already burned at start of round 9"),
+        # 13 is the first source's parent, burned in round 2
+        (sequence_edited(lambda s, p: s.__setitem__(2, p[s[0]])), "source 13 already burned at start of round 3"),
+        # the first fault wins, even when it is an in-range source
+        (sequence_edited(lambda s, p: s.__setitem__(slice(2, None), [p[s[0]], 60])), "source 13 already burned at start of round 3"),
+        (sequence_edited(lambda s, p: s.__setitem__(slice(2, None), [60, p[s[0]]])), "source 60 is not a vertex"),
+        (sequence_edited(lambda s, p: s.__delitem__(slice(1, None))), "process terminated in 14 rounds"),
+    ],
+    ids=[
+        "n-running", "minus-1-running", "n-in-round-2", "n-after-the-end", "minus-1-after-the-end",
+        "vertex-after-the-end", "burned-by-adjacency", "burned-before-n", "n-before-burned",
+        "first-source-only",
+    ],
+)
+def test_every_sequence_fault_is_worded_as_the_strict_burn_words_it(layout, edited, reason):
+    doc = layout(edited())
+    assert outcome(reference_verify_document, doc) == f"invalid sequence: {reason}"
+    assert_same_outcome(doc)
+
+
+@pytest.mark.parametrize("layout", [dict, edges_layout], ids=["parent", "edges"])
+@pytest.mark.parametrize(
+    "n, sequence, reason",
+    [
+        (1, [1], "source 1 is not a vertex"),
+        (2, [0], "process terminated in 2 rounds"),
+        (9, [0], "process terminated in 9 rounds"),
+    ],
+    ids=["one-vertex", "path-2", "path-9"],
+)
+def test_a_label_may_equal_the_order(layout, n, sequence, reason):
+    """Burned from vertex 0, one end of gen_path(n), the other end burns in
+    round n, the largest label of n vertices; with no source counted, the
+    process still runs in round 1."""
+    doc = certificate(n, 0, lambda n, seed: gen_path(n))
+    doc["sequence"] = sequence
+    doc = layout(doc)
+    assert outcome(reference_verify_document, doc) == f"invalid sequence: {reason}"
     assert_same_outcome(doc)
 
 
@@ -1073,6 +1166,8 @@ def test_claims_after_the_labels_proof_are_checked(doc, reason):
 
 @pytest.mark.parametrize("key", ["n", "n2", "m", "target", "total_rounds", "bound_table"])
 def test_a_tree_the_doubling_refuses_is_refused_before_the_claims(key):
+    """A cycle that avoids vertex 0, which the children lists' BFS never
+    reaches, is worded before any claim is read."""
     doc = copy.deepcopy(BULK_BASES["random"])
     cycle(doc["tree"]["parent"], 3)
     doc[key] = None
