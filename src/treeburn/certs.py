@@ -5,10 +5,10 @@ schema 4, as an edge list before), the burning sequence, the claimed labeling,
 and the bound values.  verify_document() derives everything from the
 embedded tree and sequence alone, so a certificate stands or falls
 regardless of who produced it.  It takes one route: the tree is proved
-once, by one BFS from vertex 0, the process labels are computed by two
-passes over that BFS order, and each claim is checked once against what
-was computed.  Nothing is burned: the verifier shares no round loop with
-the producer it checks.
+once, a parent array by peeling it from the leaves up, the process labels
+are computed by two passes over that order, and each claim is checked once
+against what was computed.  Nothing is burned: the verifier shares no
+round loop with the producer it checks.
 """
 
 from __future__ import annotations
@@ -74,22 +74,20 @@ class VerificationFailure(Exception):
 
 
 def _tree_from_doc(doc: dict) -> tuple[int, list[int], list[int]]:
-    """The embedded tree's degree-2 count, and the order and parent array of
-    a BFS from vertex 0.  A parent array is a tree iff its children lists
-    take one BFS from 0 to all n vertices: each vertex but 0 is some
-    vertex's child once, so nothing is reached twice, and a cycle that
-    avoids 0 is never reached.  An edge list is proved by
-    graphs._tree_lists, the one tree check cli.parse_edge_list also runs.
-    On a fault, build_graph and as_tree raise on the tree's edges, so a
-    reason names the first fault they meet, in the same words for both."""
+    """The embedded tree's degree-2 count, its vertices but 0 leaves up
+    (each after its children) and its parent array towards vertex 0.  A
+    parent array is a tree iff peeling it from the leaves up (Kahn's order,
+    one counter per vertex) reaches every vertex but 0: no vertex on a
+    cycle is ever peeled.  An edge list is proved by graphs._tree_lists, as
+    parse_edge_list proves one, its BFS order read backwards.  build_graph
+    and as_tree word a fault from the tree's edges, alike for both layouts."""
     tree_obj = doc["tree"]
     n = tree_obj["n"]
     if "parent" in tree_obj:
         if "edges" in tree_obj:
             raise ValueError("tree holds both edges and parent")
         parent = tree_obj["parent"]
-        # Checked before anything is allocated in proportion to n, and
-        # before parent[0] is read.
+        # Checked before parent[0] is read or anything of size n allocated.
         if type(n) is not int or n < 1:
             raise ValueError(f"tree order {n!r} is not a positive integer")
         if type(parent) is not list:
@@ -103,16 +101,20 @@ def _tree_from_doc(doc: dict) -> tuple[int, list[int], list[int]]:
             raise ValueError(f"parent {parent[0]} of vertex 0 is not -1")
         up = parent[1:]
         if min(up, default=0) >= 0 and max(up, default=0) < n:  # a -1 would index from the end
-            children: list[list[int]] = [[] for _ in parent]
-            for v, p in enumerate(up, 1):
-                children[p].append(v)
-            order = [0]
-            for u in order:
-                order.extend(children[u])
-            if len(order) == n:
-                degrees = list(map(len, children))
-                degrees[0] -= 1  # each now one less than its vertex's degree
-                return degrees.count(1), order, parent
+            left = [0] * n  # children not yet peeled
+            for p in up:
+                left[p] += 1
+            left[0] -= 1  # each now one less than its vertex's degree
+            n2 = left.count(1)
+            left[0] = n  # more than its children: 0 is never peeled
+            below = [v for v, c in enumerate(left) if not c]
+            for x in below:
+                p = parent[x]
+                left[p] -= 1
+                if not left[p]:
+                    below.append(p)
+            if len(below) == n - 1:
+                return n2, below, parent
         edges = list(zip(range(1, n), up))
     else:
         edges = tree_obj["edges"]
@@ -125,24 +127,22 @@ def _tree_from_doc(doc: dict) -> tuple[int, list[int], list[int]]:
             pair = type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
             if not pair:
                 raise TypeError(f"edge {e!r} is not a pair of integers")
-        proof = _tree_lists(n, edges)
-        if proof is not None:
+        if proof := _tree_lists(n, edges):
             adj, order, parent = proof
-            return list(map(len, adj)).count(2), order, parent
+            return list(map(len, adj)).count(2), order[:0:-1], parent
     as_tree(build_graph(n, edges))  # raises: these n - 1 edges are no tree
     raise AssertionError("as_tree accepted edges its BFS refused")
 
 
-def _labels(order: list[int], parent: list[int], seq: tuple[int, ...]) -> list[int]:
+def _labels(below: list[int], parent: list[int], seq: tuple[int, ...]) -> list[int]:
     """The process labels L(x) = min over i of (i + d(x, s_i)) on the tree
-    that order, a BFS order from vertex 0, and parent root, over the sources
-    of seq before its first one outside 0..n-1 (n + 1 everywhere when there
-    are none): one pass from the leaves up, one from the root down."""
+    parent roots at 0, over seq's sources before its first one outside
+    0..n-1 (n + 1 everywhere if none): one pass over below, each vertex but
+    0 after its children, from the leaves up, one over it reversed, down."""
     n = len(parent)
     labels = [n + 1] * n
     for i, s in enumerate(takewhile(range(n).__contains__, seq), 1):
         labels[s] = i
-    below = order[:0:-1]
     for x in below:
         p = parent[x]
         if labels[x] < labels[p] - 1:
@@ -164,21 +164,20 @@ def verify_document(doc: dict) -> dict:
     """Re-derive every claim from the embedded tree and sequence, on one
     route that reads each part of the document once, in this order.
 
-    The tree (_tree_from_doc): its shape, then its proof, one BFS from
-    vertex 0, which gives n2, a BFS order and a parent array.  The claims
-    n, n2, m and target, then the sequence and its length.  Then the
-    process labels, computed by two passes over that rooting (_labels): the
-    sequence is read from them in the strict burn's words (engine._burn,
-    which no route here calls), and the stored labels must equal them.
-    Then total_rounds and the bound table.  No Tree is built for a valid
-    certificate.
-    Returns a summary dict on success; raises VerificationFailure with a
-    machine-readable reason, worded where the fault is found, otherwise.
-    Stored labels and bound values are treated as claims to check, never
-    as inputs, and a bool never passes for an integer claim.
+    The tree (_tree_from_doc): its shape, then its proof, which gives n2, a
+    leaves-up order and the parent array.  The claims n, n2, m and target,
+    then the sequence and its length.  Then the process labels, computed by
+    two passes over that order (_labels): the sequence is read from them in
+    the strict burn's words (engine._burn, which no route here calls), and
+    the stored labels must equal them.  Then total_rounds and the bound
+    table.  No Tree is built for a valid certificate.  Returns a summary
+    dict on success; raises VerificationFailure with a machine-readable
+    reason, worded where the fault is found, otherwise.  Stored labels and
+    bound values are treated as claims to check, never as inputs, and a bool
+    never passes for an integer claim.
     """
     try:
-        n2, order, parent = _tree_from_doc(doc)
+        n2, below, parent = _tree_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise VerificationFailure(f"malformed tree: {exc}") from exc
     n = len(parent)
@@ -198,7 +197,7 @@ def verify_document(doc: dict) -> dict:
     k = len(seq)
     if k > target:
         raise VerificationFailure("sequence longer than target")
-    labels = _labels(order, parent, seq)
+    labels = _labels(below, parent, seq)
     last = max(labels)  # the round the counted sources' process ends in
     try:
         for i, s in enumerate(seq, 1):

@@ -172,8 +172,9 @@ class _TreeSearch:
 
     def __init__(self, tree: Tree):
         adjacency = tree.adjacency
-        # a BFS of its own, not tree.rooting: the parse's BFS walks unsorted
-        # neighbor lists, and its bit ids change witnesses and node counts
+        # a BFS of its own, not tree.rooting: bits need depth order, which a
+        # grafted tree's rooting lacks, and the parse's BFS walks unsorted
+        # neighbor lists, whose bit ids would change witnesses and node counts
         order, parent = _bfs_tree(adjacency, 0)
         parent[0] = 0  # in bit ids too, the root is its own parent
         bit = [0] * tree.n

@@ -65,12 +65,12 @@ class Tree(Graph):
 
     @cached_property
     def rooting(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A BFS order from vertex 0, each vertex after its parent, and each
-        vertex's neighbor towards vertex 0, -1 at 0; in a tree the parent
-        does not depend on neighbor order.  _tree stores the pair its proof
-        found and augment_degree2 extends it; any other Tree runs one BFS,
-        once.  On a Tree built by hand around a cycle, the order misses
-        every vertex that vertex 0 does not reach."""
+        """The vertices, each after its parent (not always in BFS order:
+        augment_degree2 appends its grafted leaves to t's order), and each
+        vertex's neighbor towards vertex 0, -1 at 0, which in a tree does
+        not depend on neighbor order.  _tree stores its proof's BFS; any
+        other Tree runs one BFS, once.  On a Tree built by hand around a
+        cycle, the order misses every vertex that vertex 0 does not reach."""
         order, parent = _bfs_tree(self.adjacency, 0)
         return tuple(order), tuple(parent)
 

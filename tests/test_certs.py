@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -377,6 +378,11 @@ class TestParentTree:
             ({"n": 9, "parent": parent_with(4, 4)}, "loop edge at vertex 4"),
             ({"n": 9, "parent": parent_with(3, 4)}, "edge (3, 4) given twice"),
             (
+                # 600 -> 601 -> ... -> 1199 -> 600, a cycle that avoids 0
+                {"n": 1200, "parent": [-1, *range(599), *range(601, 1200), 600]},
+                "graph with 1200 vertices is not connected",
+            ),
+            (
                 {"n": 9, "parent": PATH9_PARENT, "edges": [[v, v + 1] for v in range(8)]},
                 "tree holds both edges and parent",
             ),
@@ -384,7 +390,7 @@ class TestParentTree:
         ids=[
             "order-0", "order-bool", "order-float", "long", "short", "not-a-list",
             "entry-bool", "entry-float", "entry-str", "entry-null", "root-0",
-            "root-1", "minus-1", "n", "loop", "duplicate", "both-layouts",
+            "root-1", "minus-1", "n", "loop", "duplicate", "long-cycle", "both-layouts",
         ],
     )
     def test_malformed_parent_arrays_fail(self, tmp_path, tree, reason):
@@ -783,6 +789,27 @@ def test_valid_certificates_neither_burn_nor_build_lists(monkeypatch, shape, n):
             calls.clear()
 
 
+def test_verify_builds_nothing_per_vertex():
+    """Proving a parent array of order 3200 and computing its labels
+    allocates no container per vertex, so it never wakes the cyclic
+    garbage collector, whose youngest generation runs every few hundred
+    net container allocations."""
+    doc = certificate(3200, 1)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        assert verify_document(doc)["ok"] is True
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+
+
 def true_labels(tree, seq) -> list[int]:
     """min over i of i + d(x, s_i): the process's labels when seq is valid."""
     rows = [bfs_distances(tree, s) for s in seq]
@@ -923,6 +950,18 @@ def cycle(parent, length):
         parent[v] = w
 
 
+def cycle_with_tail(parent):
+    """297 and 298 each other's parent, and 296 -> 299 -> 298 a tail off
+    them: the peel takes the tail (and whatever hangs below it), then
+    stalls on the cycle."""
+    parent[297], parent[298], parent[299], parent[296] = 298, 297, 298, 299
+
+
+def self_parent_with_child(parent):
+    """298 its own parent, with 299 its child."""
+    parent[298], parent[299] = 298, 298
+
+
 def set_parent(v, p):
     return lambda parent: parent.__setitem__(v, p)
 
@@ -934,7 +973,9 @@ def set_parent(v, p):
         (lambda p: cycle(p, 2), "edge (298, 299) given twice"),
         (lambda p: cycle(p, 3), "graph with 300 vertices is not connected"),
         (lambda p: cycle(p, 299), "graph with 300 vertices is not connected"),
+        (cycle_with_tail, "edge (297, 298) given twice"),
         (set_parent(250, 250), "loop edge at vertex 250"),
+        (self_parent_with_child, "loop edge at vertex 298"),
         (set_parent(250, -1), "edge (250, -1) outside 0..299"),
         # parent[-1] is parent[299]: on the random base, an index that
         # wraps reads the true parent's entry
@@ -944,7 +985,8 @@ def set_parent(v, p):
         (set_parent(250, 1.0), "parent 1.0 of vertex 250 is not an integer"),
     ],
     ids=[
-        "2-cycle", "3-cycle", "(n-1)-cycle", "self", "minus-1", "minus-1-wraps", "n",
+        "2-cycle", "3-cycle", "(n-1)-cycle", "2-cycle-tail", "self", "self-child",
+        "minus-1", "minus-1-wraps", "n",
         "true", "float",
     ],
 )

@@ -5,6 +5,7 @@ import pytest
 from treeburn import (
     BurningSequence,
     as_tree,
+    augment_degree2,
     bfs_distances,
     burning_number,
     build_graph,
@@ -18,6 +19,7 @@ from treeburn import (
     validate_sequence,
 )
 from treeburn import exact
+from treeburn.cli import format_edge_list, parse_edge_list
 from treeburn.errors import NotConnected, SearchBudgetExceeded, TooLarge
 from treeburn.exact import _burning_number_general, _Search
 from treeburn.graphs import induced_subtree
@@ -198,6 +200,34 @@ class TestTreeSearch:
         for i in range(20):
             t = gen_random_tree(2 + i, 13_000 + i)
             burning_number(t.graph)
+
+    def test_bits_are_in_depth_order(self, monkeypatch):
+        """Bit i's depth never decreases with i, so the highest uncovered
+        bit is a deepest uncovered vertex.  That is why the search roots by
+        a BFS of its own: a grafted tree's rooting is not in depth order."""
+        grafted = augment_degree2(gen_path(4))[0]
+        depth = bfs_distances(grafted, 0)
+        assert [depth[v] for v in grafted.rooting[0]] != sorted(depth)
+        searches = []
+
+        class Recorded(exact._TreeSearch):
+            def __init__(self, tree):
+                super().__init__(tree)
+                searches.append((tree, self))
+
+        monkeypatch.setattr(exact, "_TreeSearch", Recorded)
+        inputs = [grafted]
+        for i in range(10):
+            t = gen_random_tree(5 + 2 * i, 700 + i)
+            parsed = parse_edge_list(format_edge_list(t))
+            inputs += [parsed, t.graph, augment_degree2(t)[0], gen_random_no_deg2(5 + i, i)]
+        for g in inputs:
+            burning_number(g)
+        assert len(searches) == len(inputs)
+        for tree, search in searches:
+            dist = bfs_distances(tree, 0)
+            assert search.depth == [dist[v] for v in search.order]
+            assert search.depth == sorted(search.depth)
 
     def test_long_path_is_solved_at_its_lower_bound(self):
         res = burning_number(gen_path(400))

@@ -27,6 +27,7 @@ from treeburn.errors import (
     VertexOutOfRange,
 )
 from treeburn.construct import smooth
+from treeburn.cli import format_edge_list, parse_edge_list
 from treeburn.graphs import _bfs_tree, component_vertices_beyond, induced_subtree
 from treeburn.rng import SplitMix64
 
@@ -128,10 +129,18 @@ class TestParent:
     @settings(max_examples=60, deadline=None)
     @given(trees(max_n=30))
     def test_derived_trees_root_at_vertex_0(self, t):
-        derived = [as_tree(t.graph), augment_degree2(t)[0]]
+        """Whatever made the Tree, its rooting's order lists each vertex
+        once, after its parent: the contract its consumers read.  It is not
+        always a BFS order (TestTreeSearch.test_bits_are_in_depth_order)."""
+        derived = [t, parse_edge_list(format_edge_list(t)), as_tree(t.graph)]
+        derived += [augment_degree2(t)[0]]
         derived += [smooth(t, w)[0] for w in range(t.n) if t.degree(w) >= 2]
         for d in derived:
             assert list(d.parent) == _bfs_tree(d.adjacency, 0)[1]
+            order, parent = d.rooting
+            assert sorted(order) == list(range(d.n)) and order[:1] == (0,)
+            position = {v: i for i, v in enumerate(order)}
+            assert all(position[parent[v]] < position[v] for v in order[1:])
 
     def test_as_tree_keeps_a_tree(self):
         t = gen_random_tree(50, 1)
