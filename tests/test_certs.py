@@ -903,8 +903,8 @@ def test_stars_are_accepted(leaves):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_orders_below_3_are_proved_by_labels(n):
-    """The children lists' BFS proves these parent arrays, one of which
-    has no entry below the root, and the computed labels accept theirs."""
+    """The leaf peel proves these parent arrays, one of which has no
+    entry below the root, and the computed labels accept theirs."""
     doc = certificate(n, 0, lambda n, seed: gen_path(n))
     summary = proved_by_labels(doc)
     assert summary is not None and summary["ok"] is True
@@ -1208,8 +1208,8 @@ def test_claims_after_the_labels_proof_are_checked(doc, reason):
 
 @pytest.mark.parametrize("key", ["n", "n2", "m", "target", "total_rounds", "bound_table"])
 def test_a_tree_the_doubling_refuses_is_refused_before_the_claims(key):
-    """A cycle that avoids vertex 0, which the children lists' BFS never
-    reaches, is worded before any claim is read."""
+    """A cycle that avoids vertex 0, which the leaf peel never reaches, is
+    worded before any claim is read."""
     doc = copy.deepcopy(BULK_BASES["random"])
     cycle(doc["tree"]["parent"], 3)
     doc[key] = None
