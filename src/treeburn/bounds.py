@@ -1,9 +1,9 @@
 """Closed-form burning-number bounds, evaluated in exact integer arithmetic.
 
-Every ceiling/floor of a square-root expression is rewritten as an integer
-threshold search (smallest k whose square clears the radicand), so bound
-values are exact at perfect-square boundaries where naive floating point
-silently rounds the wrong way.
+Every ceiling/floor of a square-root expression is one `math.isqrt`
+identity, read off the integer inequality that defines the value, so bound
+values are exact at perfect-square boundaries and near 2**53, where naive
+floating point silently rounds the wrong way.
 """
 
 from __future__ import annotations
@@ -21,17 +21,12 @@ def ceil_sqrt(x: int) -> int:
 
 
 def margin(total: int) -> int:
-    """Largest m >= 0 with m*(m+1)+1 <= total.
-
-    Equivalently the smallest m with (m+1)*(m+2) >= total, and equal to
-    ceil(sqrt(total + 1/4) - 3/2); the subtrahend inside the refined bound.
-    """
+    """Largest m >= 0 with m*(m+1)+1 <= total, equal to ceil(sqrt(total +
+    1/4) - 3/2): the subtrahend inside the refined bound.  The inequality is
+    (2m+1)**2 <= 4*total - 3, so 2m+1 <= isqrt(4*total - 3)."""
     if total < 1:
         raise ValueError("total must be positive")
-    m = max(0, isqrt(total) - 2)
-    while (m + 1) * (m + 2) < total:
-        m += 1
-    return m
+    return (isqrt(4 * total - 3) - 1) // 2
 
 
 def refined_bound(n: int, n2: int) -> int:
@@ -57,20 +52,15 @@ def murakami_bound(total: int) -> int:
 
 
 def bessy_bound(total: int) -> int:
-    """ceil(sqrt(n + n2 + 1/4) + 1/2) == smallest k with k*(k-1) >= n + n2."""
-    k = max(1, isqrt(total))
-    while k * (k - 1) < total:
-        k += 1
-    return k
+    """ceil(sqrt(n + n2 + 1/4) + 1/2) == smallest k with k*(k-1) >= n + n2,
+    that is (2k-1)**2 >= 4(n + n2) + 1, so 2k-1 >= ceil_sqrt(4(n + n2) + 1)."""
+    return (ceil_sqrt(4 * total + 1) + 2) // 2
 
 
 def land_lu_bound(n: int) -> int:
-    """ceil((-3 + sqrt(24n + 33)) / 4) == smallest k with (4k+3)^2 >= 24n + 33."""
-    radicand = 24 * n + 33
-    k = max(0, (isqrt(radicand) - 3) // 4 - 1)
-    while (4 * k + 3) ** 2 < radicand:
-        k += 1
-    return k
+    """ceil((-3 + sqrt(24n + 33)) / 4) == smallest k with (4k+3)**2 >=
+    24n + 33, that is 4k+3 >= ceil_sqrt(24n + 33)."""
+    return ceil_sqrt(24 * n + 33) // 4
 
 
 def bastide_floor(n: int) -> int:

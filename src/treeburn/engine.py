@@ -134,7 +134,7 @@ def _burn_graph(
 ) -> tuple[list[Optional[int]], list[int]]:
     """_burn over all of g.  Only a bare Graph gets a connectivity pass:
     Tree.is_connected trusts the type."""
-    if g.n == 0 or not g.is_connected():
+    if not g.is_connected():
         raise NotConnected("burning is defined on connected graphs")
     return _burn(g.adjacency, rounds, strict)
 

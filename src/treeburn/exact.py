@@ -70,7 +70,7 @@ class ExactResult:
 
 
 def _require_connected(graph: Graph) -> None:
-    if graph.n == 0 or not graph.is_connected():
+    if not graph.is_connected():
         raise NotConnected("exact solving requires a connected graph")
 
 

@@ -306,12 +306,7 @@ def gen_full_binary(height: int) -> Tree:
     if height < 0:
         raise ValueError("height must be nonnegative")
     n = (1 << (height + 1)) - 1
-    edges = []
-    for v in range(n):
-        for c in (2 * v + 1, 2 * v + 2):
-            if c < n:
-                edges.append((v, c))
-    return _tree(n, edges)
+    return _tree(n, [((c - 1) // 2, c) for c in range(1, n)])
 
 
 def gen_double_star(s: int, t: int) -> Tree:

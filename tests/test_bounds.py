@@ -19,6 +19,23 @@ from treeburn.bounds import (
 )
 
 
+# Each value meets its defining inequality at k and fails it at k - 1.
+def assert_margin_identity(total):
+    m = margin(total)
+    assert m * (m + 1) + 1 <= total < (m + 1) * (m + 2) + 1
+
+
+def assert_bessy_identity(total):
+    k = bessy_bound(total)
+    assert k >= 1 and k * (k - 1) >= total
+    assert k == 1 or total > (k - 1) * (k - 2)
+
+
+def assert_land_lu_identity(n):
+    k = land_lu_bound(n)
+    assert (4 * k + 3) ** 2 >= 24 * n + 33 > (4 * k - 1) ** 2
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -55,6 +72,8 @@ class TestMargin:
         assert margin(1) == 0
         assert margin(16) == 3
         assert margin(50) == 6
+        for total in range(1, 1_000_001):
+            assert_margin_identity(total)
 
     @given(st.integers(1, 10**9))
     def test_against_exact_rational_definition(self, total):
@@ -64,10 +83,9 @@ class TestMargin:
         if m > 0:
             assert (Fraction(m - 1) + Fraction(3, 2)) ** 2 < total + Fraction(1, 4)
 
-    @given(st.integers(1, 10**9))
+    @given(st.integers(1, 10**18))
     def test_side_contract(self, total):
-        m = margin(total)
-        assert total >= m * (m + 1) + 1
+        assert_margin_identity(total)
 
     def test_float_evaluation_agrees_up_to_a_million(self):
         # regression list: values where ceil(sqrt(N + 0.25) - 1.5) in floats
@@ -171,6 +189,8 @@ class TestPriorBoundFormulas:
         assert bessy_bound(1) == 2
         assert bessy_bound(2) == 2
         assert bessy_bound(3) == 3
+        for total in range(1_000_001):
+            assert_bessy_identity(total)
 
     def test_land_lu_small(self):
         assert land_lu_bound(1) == 2
@@ -179,6 +199,13 @@ class TestPriorBoundFormulas:
         for n in range(1, 5000):
             real = (-3 + math.sqrt(24 * n + 33)) / 4
             assert land_lu_bound(n) == math.ceil(real)
+        for n in range(1_000_001):
+            assert_land_lu_identity(n)
+
+    @given(st.integers(0, 10**18))
+    def test_identities_at_scale(self, x):
+        assert_bessy_identity(x)
+        assert_land_lu_identity(x)
 
     def test_bastide(self):
         assert bastide_floor(50) == 9

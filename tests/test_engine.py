@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from treeburn import (
     EMPTY,
     BurningSequence,
+    Graph,
     Tree,
     build_graph,
     canonicalize,
@@ -71,8 +72,10 @@ class TestSimulate:
         assert lab.labels == (1, 2, 3, 4)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(NotConnected):
-            simulate(build_graph(4, [(0, 1), (2, 3)]), (0,))
+        # Graph(()) too: is_connected is False at n = 0
+        for g in (build_graph(4, [(0, 1), (2, 3)]), Graph(())):
+            with pytest.raises(NotConnected):
+                simulate(g, (0,))
 
     def test_disconnected_graph_rejected_with_a_source_per_component(self):
         # no round stalls here, so only the upfront pass can catch it

@@ -4,6 +4,7 @@ import pytest
 
 from treeburn import (
     BurningSequence,
+    Graph,
     as_tree,
     augment_degree2,
     bfs_distances,
@@ -58,9 +59,10 @@ class TestBurnableWithin:
         assert best == 5
 
     def test_disconnected(self):
-        # the general path's connectivity check
-        with pytest.raises(NotConnected):
-            burning_number(build_graph(4, [(0, 1), (2, 3)]))
+        # the general path's connectivity check, which also refuses Graph(())
+        for g in (build_graph(4, [(0, 1), (2, 3)]), Graph(())):
+            with pytest.raises(NotConnected):
+                burning_number(g)
 
     def test_agrees_with_the_enumerator_at_b_and_below(self):
         # _solve calls find only for k <= b, where a cover by k sources is
