@@ -363,8 +363,8 @@ class _LevelLabels:
     after that.  The part's candidates sit in one list per G, appended a
     BFS layer at a time, not sorted.  A label only falls, so an entry whose
     vertex moved on stays stale until a fill of its round drops the stale
-    entries and takes the least of the rest.  count[g] counts the live
-    ones, and the light side joins them when its level is done.
+    entries and takes the least of the rest; the part's last round is the
+    highest whose list keeps one.  The light side joins the lists after.
     """
 
     def __init__(
@@ -376,11 +376,9 @@ class _LevelLabels:
         size = depth + rounds + 2
         self.labels = labels = [0] * order
         self.src: list = [None] * size
-        self.count = count = [0] * size
         self.cands: list[list[int]] = [[] for _ in range(size)]
         for x, r in zip(inner, inner_labels):
             labels[x] = g = r + depth
-            count[g] += 1
             self.cands[g].append(x)
         self.end = depth + len(sources)
         self.src[depth + 1 : self.end + 1] = sources
@@ -390,16 +388,13 @@ class _LevelLabels:
     ) -> int:
         """Relabel from the level below to this level's tree, the component
         of v in adj, and return its round count."""
-        labels, src, count, cands = self.labels, self.src, self.count, self.cands
-        end = self.end
+        labels, src, cands, end = self.labels, self.src, self.cands, self.end
         if end - level - 1 > target - 1:
             raise InternalBoundViolation(
                 f"branch sequence length {end - level - 1} > {target - 1}"
             )
-        g = level + 1
-        labels[v] = g
+        labels[v] = g = level + 1
         src[g] = v
-        count[g] += 1
         cands[g].append(v)
         light = []  # v's light side, by distance from v
         layer = [x for x in adj[v] if x != w]
@@ -419,20 +414,19 @@ class _LevelLabels:
                     old = labels[y]
                     if old and old <= g:
                         continue
-                    if old:
-                        count[old] -= 1
-                        if src[old] == y:
-                            emptied.append(old)
+                    # src[0] is None, so a vertex new to the level matches none
+                    if src[old] == y:
+                        emptied.append(old)
                     labels[y] = g
                     reached.append(y)
-            count[g] += len(reached)
             cands[g] += reached
             layer = reached
-        # the part's last round: T''s, or round 3 if w's surplus leaves
-        # burn later than all of T'
+        # the part's last round (T''s, or round 3 if w's surplus leaves burn
+        # later than all of T'): its compacted list is the highest non-empty
         top = max(end, level + 3)
-        while not count[top]:
+        while not (live := [x for x in cands[top] if labels[x] == top]):
             top -= 1
+        cands[top] = live
         if top > end:
             raise InternalBoundViolation(
                 f"heavy branch took {top - level} rounds, bound {end - level}"
@@ -442,22 +436,17 @@ class _LevelLabels:
             raise InternalBoundViolation(
                 f"assembled process took {last - level} rounds, target {target}"
             )
-        for r in (*emptied, *range(end + 1, last + 1)):
-            if r > top:
-                if r <= last:
-                    src[r] = min(light[r - level - 2])
-                continue
-            cands[r] = live = [x for x in cands[r] if labels[x] == r]
-            src[r] = min(live)
+        for r in emptied:
+            if r <= top:
+                cands[r] = live = [x for x in cands[r] if labels[x] == r]
+                src[r] = min(live)
+        # above top, T''s rounds lost their sources: the light side burns them
         for r, layer in enumerate(light, level + 2):
-            count[r] += len(layer)
+            if r > top:
+                src[r] = min(layer)
             cands[r] += layer
         self.end = last
         return last - level
-
-    def sequence(self) -> BurningSequence:
-        """The outermost level's sequence."""
-        return BurningSequence(tuple(self.src[1 : self.end + 1]))
 
 
 def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
@@ -547,8 +536,8 @@ def construct_no_deg2(t: Tree, m: int) -> BoundCertificate:
         # the heavy branch plus v meets the light side only at v, which
         # burns in round 1, so the branch's sequence lifts one round late
         row["length"] = labels.lift(work.adj, level, v, heavy, row["target"])
-    seq = labels.sequence()
     # at level 0 a stored G is the round itself
+    seq = BurningSequence(tuple(labels.src[1 : labels.end + 1]))
     labeling = RoundLabeling(tuple(labels.labels), labels.end)
     return BoundCertificate(t, t.n, 0, m, rows[0]["target"], seq, labeling, tuple(rows))
 

@@ -1,6 +1,7 @@
 import inspect
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
@@ -36,6 +37,7 @@ from treeburn.bounds import margin
 from treeburn.construct import find_separator, lift_sequence, project_to_subtree, smooth
 from treeburn.errors import (
     DegreeTooSmall,
+    InternalBoundViolation,
     NotAcyclic,
     PreconditionViolated,
     StructureMismatch,
@@ -476,8 +478,9 @@ class TestLevelLabels:
     @staticmethod
     @contextmanager
     def checked_levels():
-        """Check every level lifted inside the block; yields the levels."""
-        relabel, levels = construct._LevelLabels.lift, []
+        """Check every level lifted inside the block; yields the levels and
+        a count of how each round after the separator's got its source."""
+        relabel, levels, cases = construct._LevelLabels.lift, [], Counter()
 
         def checked(labels, adj, level, v, w, target):
             proposals = [v, *labels.src[level + 2 : labels.end + 1]]
@@ -491,6 +494,9 @@ class TestLevelLabels:
             local_proposals = [local[x] for x in proposals]
             _, burned = engine._burn(level_adj, local_proposals, False)
             assert [labels.labels[x] - level for x in tree] == burned
+            # every vertex of the level's tree sits in its round's list
+            listed = {(x, g) for g, xs in enumerate(labels.cands) for x in xs}
+            assert {(x, labels.labels[x]) for x in tree} <= listed
             seq, total = reference_lift(
                 level_adj, local_proposals, len(proposals),
                 lambda i: tree[i] == v or tree[i] not in light,
@@ -499,12 +505,20 @@ class TestLevelLabels:
             assert labels.src[level + 1 : level + 1 + rounds] == [
                 tree[i] for i in seq.sources
             ]
+            for r, x in enumerate(labels.src[level + 2 : level + 1 + rounds], 2):
+                side = "light side" if x in light else "part"
+                if r > len(proposals):
+                    cases[f"new round from the {side}"] += 1
+                elif x == proposals[r - 1]:
+                    cases["source kept"] += 1
+                else:
+                    cases[f"beaten source refilled from the {side}"] += 1
             levels.append(level)
             return rounds
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct._LevelLabels, "lift", checked)
-            yield levels
+            yield levels, cases
 
     @settings(max_examples=150, deadline=None)
     @given(trees(min_n=1, max_n=80))
@@ -519,18 +533,41 @@ class TestLevelLabels:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_labeled_tree(self, n):
-        with self.checked_levels() as levels:
+        with self.checked_levels() as (levels, _):
             for base in labeled_trees(n):
                 construct_general(base)
         assert levels or n < 6
 
     def test_paths_and_full_binary_trees(self):
-        with self.checked_levels() as levels:
+        with self.checked_levels() as (levels, cases):
             for n in (*range(1, 60), 800, 1600):
                 construct_general(gen_path(n))
             for h in range(1, 10):
                 construct_general(gen_full_binary(h))
         assert max(levels) >= 10  # the corpus reaches deep levels
+        # every fill case, and never a new round from the part
+        assert set(cases) == {
+            "source kept",
+            "beaten source refilled from the part",
+            "beaten source refilled from the light side",
+            "new round from the light side",
+        }
+
+    @pytest.mark.parametrize(
+        "adj, inner, target, message",
+        [
+            ([[1], [0]], 1, 1, "branch sequence length 1 > 0"),
+            # w's surplus leaf 3 burns in round 3, after all of T' = {2}
+            ([[1], [0, 2, 3], [1], [1]], 2, 5, "heavy branch took 3 rounds, bound 2"),
+            ([[1, 2], [0], [0, 3], [2]], 1, 2, "assembled process took 3 rounds, target 2"),
+        ],
+        ids=["branch", "heavy", "assembled"],
+    )
+    def test_each_length_bound_raises(self, adj, inner, target, message):
+        # level 1 over a one-vertex innermost tree at depth 2: v = 0, w = 1
+        labels = construct._LevelLabels(len(adj), 2, 3, [inner], [1], [inner])
+        with pytest.raises(InternalBoundViolation, match=message):
+            labels.lift(adj, 1, 0, 1, target)
 
     @pytest.mark.parametrize(
         "t",
