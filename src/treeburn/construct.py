@@ -414,17 +414,17 @@ class _LevelLabels:
                     old = labels[y]
                     if old and old <= g:
                         continue
-                    # src[0] is None, so a vertex new to the level matches none
-                    if src[old] == y:
+                    if src[old] == y:  # src[0] is None: no new vertex matches
                         emptied.append(old)
                     labels[y] = g
                     reached.append(y)
             cands[g] += reached
             layer = reached
-        # the part's last round (T''s, or round 3 if w's surplus leaves burn
-        # later than all of T'): its compacted list is the highest non-empty
+        # the part's last round: T''s, or round 3 if w's surplus leaves burn
+        # later than all of T'; the lists it passes hold only stale entries
         top = max(end, level + 3)
         while not (live := [x for x in cands[top] if labels[x] == top]):
+            cands[top].clear()
             top -= 1
         cands[top] = live
         if top > end:
