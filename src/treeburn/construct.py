@@ -364,7 +364,7 @@ class _LevelLabels:
     BFS layer at a time, not sorted.  A label only falls, so an entry whose
     vertex moved on stays stale until a fill of its round drops the stale
     entries and takes the least of the rest; the part's last round is the
-    highest whose list keeps one.  The light side joins the lists after.
+    highest whose list keeps one; the light side joins after the fills.
     """
 
     def __init__(
